@@ -144,6 +144,8 @@ bench-timeline:
 	$(CARGO) bench -p pm-bench --bench timeline
 
 # Regenerate the committed golden report snapshots after an intentional
-# output change.
+# output change: the T1/F1/T2 registry reports and the 17-day seed-19
+# campaign, honest and under each attack of the scenario suite.
 golden:
-	UPDATE_GOLDEN=1 $(CARGO) test --release --test golden_reports
+	UPDATE_GOLDEN=1 $(CARGO) test --release --test golden_reports \
+		--test campaign_study --test scenario_matrix

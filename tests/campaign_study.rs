@@ -3,6 +3,8 @@
 //! the 96-hour churn round measures a real cross-day union, and the
 //! aggregated report carries per-day and cumulative rows.
 
+mod common;
+
 use tor_measure::study::{Campaign, CampaignConfig, CampaignReport, RoundKind};
 use torsim::relay::Position;
 use torsim::timeline::DayTruth;
@@ -111,6 +113,12 @@ fn full_calendar_runs_exit_domain_and_onion_rounds() {
     assert!(text.contains("campaign SLD union"));
     assert!(text.contains("campaign onion union"));
     assert!(text.contains("per-day exit fractions"));
+
+    // The whole honest report, pinned byte for byte.
+    common::assert_golden(
+        "tests/golden/campaign_17d_seed19_none.txt",
+        &(text + &report.render_json()),
+    );
 }
 
 #[test]

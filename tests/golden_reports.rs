@@ -3,13 +3,10 @@
 //! `tests/golden/` and diffed on every run, so pipeline refactors
 //! provably preserve experiment outputs down to the formatted digit.
 //!
-//! To regenerate after an *intentional* output change:
-//!
-//! ```sh
-//! UPDATE_GOLDEN=1 cargo test --test golden_reports
-//! ```
-//!
-//! then commit the updated snapshot with a note explaining what moved.
+//! To regenerate after an *intentional* output change, run
+//! `make golden` (see `tests/common/mod.rs`).
+
+mod common;
 
 use torstudy::deployment::Deployment;
 use torstudy::runner::run_some;
@@ -37,27 +34,5 @@ fn golden_run() -> String {
 
 #[test]
 fn reports_match_committed_snapshot() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    let got = golden_run();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).expect("write golden snapshot");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .expect("missing golden snapshot; run with UPDATE_GOLDEN=1 to create it");
-    if want != got {
-        // Locate the first diverging line for a readable failure.
-        let (mut line, mut a, mut b) = (0usize, "", "");
-        for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
-            if w != g {
-                (line, a, b) = (i + 1, w, g);
-                break;
-            }
-        }
-        panic!(
-            "golden snapshot mismatch at {GOLDEN_PATH}:{line}\n  \
-             want: {a}\n  got:  {b}\n\
-             (if the change is intentional, regenerate with UPDATE_GOLDEN=1)"
-        );
-    }
+    common::assert_golden(GOLDEN_PATH, &golden_run());
 }

@@ -7,6 +7,8 @@
 //! determinism contract: bit-identical reports across schedules and
 //! shard counts.
 
+mod common;
+
 use std::collections::BTreeSet;
 use tor_measure::study::{
     Anomaly, AnomalyKind, Campaign, CampaignAttack, CampaignConfig, CampaignReport, RoundStatus,
@@ -94,6 +96,13 @@ fn every_attack_is_detected_on_every_round_kind() {
         assert!(
             json.contains("\"anomalies\": ["),
             "{attack:?}: channel in JSON"
+        );
+
+        // The attacked report — aborts, degradations, ledger and
+        // metrics included — pinned byte for byte.
+        common::assert_golden(
+            &format!("tests/golden/campaign_17d_seed19_{}.txt", attack.name()),
+            &(text + &json),
         );
     }
 }
