@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt fmt-check clippy lint build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke doc bench bench-study bench-timeline golden
+.PHONY: verify fmt fmt-check clippy lint build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke bench-e2e-smoke doc bench bench-study bench-timeline golden
 
-verify: fmt-check clippy lint doc build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke
+verify: fmt-check clippy lint doc build test test-crates test-transcript study-smoke scenario-smoke timeline-smoke obs-smoke wire-smoke bench-e2e-smoke
 
 fmt:
 	$(CARGO) fmt --all
@@ -128,6 +128,15 @@ wire-smoke:
 # guard it per-config, but at the paper-shaped network size.
 timeline-smoke:
 	$(CARGO) test -q --release -p torsim --test timeline_smoke
+
+# End-to-end benchmark harness smoke: e2e-bench is its own package
+# (own workspace and lock file, path dependencies on the workspace
+# crates), so nothing above builds it. Its tests compile the harness
+# against the current public API and run every workload tiny, so an API
+# change cannot break the benchmark while the rest of the gate stays
+# green.
+bench-e2e-smoke:
+	$(CARGO) test --offline --manifest-path e2e-bench/Cargo.toml
 
 # Sharded-pipeline benchmarks; writes BENCH_pipeline.json at the repo root.
 bench:

@@ -37,7 +37,7 @@ fn bench_campaign(c: &mut Criterion) {
         // Sequential vs parallel round execution at the default shards.
         group.bench_function("rounds_sequential", |b| {
             let campaign = Campaign::new(CampaignConfig::new(days, BENCH_SCALE, 2018));
-            b.iter(|| campaign.run_sequential());
+            b.iter(|| campaign.run(1));
         });
         group.bench_function(format!("rounds_parallel_{cores}"), |b| {
             let campaign = Campaign::new(CampaignConfig::new(days, BENCH_SCALE, 2018));

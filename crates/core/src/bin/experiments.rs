@@ -11,7 +11,8 @@
 //! signal-to-noise ratio while running in seconds. `--json PATH`
 //! writes the machine-readable document (same schema as the
 //! `campaign` binary's) alongside whatever goes to stdout; `--list`
-//! prints the registry without running anything. `--trace PATH`
+//! prints the registry without running anything, and an `--only` id
+//! the registry does not hold exits 2 naming it. `--trace PATH`
 //! enables the wall-clock profiling plane and writes a
 //! chrome://tracing trace-event file; `-q` silences progress events,
 //! `-v` prints them with structured fields.
@@ -91,6 +92,23 @@ fn main() {
             }
         }
         i += 1;
+    }
+
+    if let Some(ids) = &only {
+        let known: Vec<&str> = registry().iter().map(|e| e.id).collect();
+        let unknown: Vec<&str> = ids
+            .iter()
+            .map(String::as_str)
+            .filter(|id| !known.contains(id))
+            .collect();
+        if !unknown.is_empty() {
+            eprintln!(
+                "unknown experiment id(s) {}; known: {}",
+                unknown.join(", "),
+                known.join(", ")
+            );
+            std::process::exit(2);
+        }
     }
 
     if list {

@@ -12,10 +12,11 @@ use pm_stats::Estimate;
 use std::ops::Range;
 use std::sync::Arc;
 use torsim::churn::ChurnModel;
+use torsim::ids::{IpAddr, OnionAddr};
 use torsim::relay::Position;
 use torsim::stream::EventStream;
 use torsim::timeline::{
-    DaySnapshot, DayTruth, DomainDayTruth, NetworkTimeline, OnionDayTruth, TimelineConfig,
+    DaySnapshot, DistinctTruth, ExitTally, NetworkTimeline, OnionTally, Tally, TimelineConfig,
 };
 use torstudy::deployment::Deployment;
 use torstudy::experiments::{client_traffic_streams, privcount_round, psc_round};
@@ -274,12 +275,12 @@ pub struct RoundOutcome {
     /// Its rendered report.
     pub report: Report,
     /// Ground truth per collected day, in calendar order (client-IP
-    /// rounds; empty for traffic rounds).
-    pub day_truths: Vec<DayTruth>,
+    /// rounds only).
+    pub day_truths: Vec<DistinctTruth<IpAddr>>,
     /// Per-day exit-domain ground truth (exit-domain rounds only).
-    pub domain_truths: Vec<DomainDayTruth>,
+    pub domain_truths: Vec<DistinctTruth<String, ExitTally>>,
     /// Per-day onion-service ground truth (onion-service rounds only).
-    pub onion_truths: Vec<OnionDayTruth>,
+    pub onion_truths: Vec<DistinctTruth<OnionAddr, OnionTally>>,
     /// Headline measured estimate (at scale for unique counts).
     pub estimate: Option<Estimate>,
     /// Network-wide extrapolation of [`Self::estimate`] using each
@@ -300,6 +301,29 @@ pub struct RoundOutcome {
     /// [`crate::anomaly`]); the campaign report folds every round's
     /// records into one channel.
     pub anomalies: Vec<Anomaly>,
+}
+
+impl RoundOutcome {
+    /// An outcome carrying no ground truths and no estimates.
+    pub(crate) fn new(
+        spec: &RoundSpec,
+        report: Report,
+        status: RoundStatus,
+        anomalies: Vec<Anomaly>,
+    ) -> RoundOutcome {
+        RoundOutcome {
+            spec: spec.clone(),
+            report,
+            day_truths: Vec::new(),
+            domain_truths: Vec::new(),
+            onion_truths: Vec::new(),
+            estimate: None,
+            network_estimate: None,
+            reconcile_estimate: None,
+            status,
+            anomalies,
+        }
+    }
 }
 
 /// A planned, validated, runnable campaign.
@@ -504,33 +528,7 @@ impl Campaign {
             rec.incr(status);
             rec.add("study.anomalies", outcome.anomalies.len() as u64);
         }
-        // Cursor self-check: the sweep above leaned on the diff
-        // cursor's checkpoint/restore path, so random-access back to
-        // the epoch and (in debug builds) pin it against the
-        // from-scratch replay oracle. The epoch is materialized by the
-        // calendar's first round, so no deterministic counter moves.
-        let restored = self.timeline.snapshot(0);
-        if cfg!(debug_assertions) {
-            // Bit-level restore equality is pinned by the torsim
-            // proptests; here a shape check keeps the campaign's own
-            // cursor honest without paying a replay in release.
-            let oracle = self.timeline.snapshot_replay(0);
-            assert_eq!(restored.day, oracle.day);
-            assert_eq!(restored.joined, oracle.joined);
-            assert_eq!(restored.left, oracle.left);
-            assert_eq!(
-                restored.consensus.relays().len(),
-                oracle.consensus.relays().len(),
-                "checkpoint restore diverged from the replay oracle"
-            );
-        }
         outcomes
-    }
-
-    /// Runs the calendar one round at a time — the baseline the
-    /// parallel path is pinned against.
-    pub fn run_sequential(&self) -> CampaignReport {
-        self.run(1)
     }
 
     /// Lowers the campaign scenario to a PSC-level attack on `cfg`.
@@ -608,639 +606,576 @@ impl Campaign {
     fn aborted_outcome(&self, spec: &RoundSpec, err: NodeError) -> RoundOutcome {
         let detected_by = err
             .detected_by()
-            .map(|p| p.as_str().to_string())
-            .unwrap_or_else(|| "runner".to_string());
+            .map_or_else(|| "runner".to_string(), |p| p.as_str().to_string());
         let reason = err.reason();
-        let mut report = Report::new(
-            spec.id.clone(),
-            format!(
-                "Round {}, days {}..{} — ABORTED",
-                spec.id,
-                spec.start_day,
-                spec.start_day + spec.duration_days
-            ),
-        );
-        report.note(format!("aborted: {reason} (detected by {detected_by})"));
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths: Vec::new(),
-            domain_truths: Vec::new(),
-            onion_truths: Vec::new(),
-            estimate: None,
-            network_estimate: None,
-            reconcile_estimate: None,
-            anomalies: vec![Anomaly::new(
-                AnomalyKind::Aborted,
-                spec.id.clone(),
-                Some(spec.start_day),
-                format!("{reason} (detected by {detected_by})"),
-            )],
-            status: RoundStatus::Aborted {
-                reason,
-                detected_by,
-            },
-        }
+        let detail = format!("{reason} (detected by {detected_by})");
+        let title = format!("Round {}, {} — ABORTED", spec.id, window(spec));
+        let mut report = Report::new(spec.id.clone(), title);
+        report.note(format!("aborted: {detail}"));
+        let day = Some(spec.start_day);
+        let anomaly = Anomaly::new(AnomalyKind::Aborted, spec.id.clone(), day, detail);
+        let status = RoundStatus::Aborted {
+            reason,
+            detected_by,
+        };
+        RoundOutcome::new(spec, report, status, vec![anomaly])
     }
 
-    /// The plausibility cap on a completed round's headline count:
-    /// statistically-skewed shares are protocol-invisible (that is the
-    /// point of blinding and oblivious counters), so the campaign
-    /// cross-checks the published count against the expectation its
-    /// round was provisioned for. An implausible count degrades the
-    /// round — reported, flagged, excluded from headline claims — but
-    /// never panics.
-    fn plausibility_status(
-        spec: &RoundSpec,
-        est: &Estimate,
-        expected: f64,
-        cap_multiple: f64,
-        report: &mut Report,
-        anomalies: &mut Vec<Anomaly>,
-    ) -> RoundStatus {
-        let cap = cap_multiple * expected.max(1.0);
-        if est.value <= cap {
-            return RoundStatus::Completed;
-        }
-        let degraded = format!(
-            "count {:.0} exceeds the plausibility cap {cap:.0} ({cap_multiple}x the \
-             sizing expectation {expected:.0}); skewed shares cannot be attributed \
-             to a party, so the round is kept but flagged",
-            est.value
-        );
-        report.note(format!("recovered (degraded): {degraded}"));
-        anomalies.push(Anomaly::new(
-            AnomalyKind::Degraded,
-            spec.id.clone(),
-            Some(spec.start_day),
-            degraded.clone(),
-        ));
-        RoundStatus::Recovered { degraded }
-    }
-
-    /// Flags a ground-truth record that carries no day attribution —
-    /// before this check its rows silently misattributed to day 0
-    /// (`days.first().unwrap_or(0)`); now the row keeps its calendar
-    /// day and the gap becomes an explicit anomaly.
-    fn check_day_attribution(
-        spec: &RoundSpec,
-        day: u64,
-        days: &std::collections::BTreeSet<u64>,
-        anomalies: &mut Vec<Anomaly>,
-    ) {
-        if days.is_empty() {
-            anomalies.push(Anomaly::new(
-                AnomalyKind::EmptyTruth,
-                spec.id.clone(),
-                Some(day),
-                format!("day {day} ground truth carries no day attribution"),
-            ));
-        }
-    }
-
-    /// Executes one round against its day-indexed deployment.
+    /// Executes one round against its day-indexed deployment: the
+    /// round kind's plain description, run by the shared pipeline
+    /// ([`RoundPlan::run`]).
     fn run_round(&self, spec: &RoundSpec) -> RoundOutcome {
+        let n = spec.duration_days;
+        let workload = &self.base.workload;
         match spec.kind {
-            RoundKind::UniqueIps => self.run_unique_ips(spec),
-            RoundKind::UniqueCountries => self.run_unique_countries(spec),
-            RoundKind::ClientTraffic => self.run_client_traffic(spec),
-            RoundKind::ExitDomains => self.run_exit_domains(spec),
-            RoundKind::OnionServices => self.run_onion_services(spec),
-        }
-    }
-
-    /// The day's observation probability for a client: the snapshot's
-    /// guard fraction compounded over the guards each client contacts.
-    /// Takes the day's already-fetched snapshot so each runner pulls a
-    /// day from the timeline cursor exactly once.
-    fn observe_on(&self, snap: &DaySnapshot) -> (f64, f64) {
-        let p = snap.fraction(Position::Guard);
-        let g = self.base.workload.clients.guards_per_client;
-        (p, observe_probability(p, g))
-    }
-
-    /// One PSC unique-IP round over the window's churned daily pools:
-    /// per-day streams chained into a single oblivious-table round,
-    /// truth merged associatively, network inference per-day-fraction.
-    fn run_unique_ips(&self, spec: &RoundSpec) -> RoundOutcome {
-        let dep = self.base.for_day(&self.timeline.snapshot(spec.start_day));
-        let prom = self.timeline.promiscuous() as f64;
-        let mut day_streams: Vec<Vec<EventStream>> = Vec::new();
-        let mut day_truths: Vec<DayTruth> = Vec::new();
-        let mut union = DayTruth::default();
-        let mut shares: Vec<DayShare> = Vec::new();
-        let mut guard_fractions: Vec<f64> = Vec::new();
-        for (k, day) in spec.days().enumerate() {
-            // One snapshot fetch per day: the shared timeline cursor
-            // evolves the network incrementally, so a calendar sweep is
-            // O(churn) per day rather than replaying day 0..d.
-            let snap = self.timeline.snapshot(day);
-            let (p, observe) = self.observe_on(&snap);
-            guard_fractions.push(p);
-            let (stream, truth) =
-                self.timeline
-                    .client_ip_day(day, observe, dep.shards, dep.entry_relays());
-            day_streams.push(vec![stream]);
-            // Promiscuous clients are observed with probability 1, sit
-            // in every day's pool (all "fresh" on the window's first
-            // day), and must not be divided by the selective fraction:
-            // only the selective slice of each day's fresh contribution
-            // extrapolates.
-            let fresh = truth.new_vs(&union) as f64;
-            shares.push(DayShare {
-                share: if k == 0 {
-                    (fresh - prom).max(0.0)
-                } else {
-                    fresh
+            RoundKind::UniqueIps => RoundPlan {
+                title: format!("Unique client IPs, {} (PSC)", window(spec)),
+                observe: |c, _, dep, snap| c.observe_clients(dep, snap, |ip| ip),
+                psc: Some(PscPlan {
+                    items: |_| psc::items::unique_client_ips(),
+                    // Noise sensitivity per Table 1, matching tab5's
+                    // calibration: a 1-day round bounds NewIpDay1 at 4; a
+                    // multi-day round bounds NewIpMultiDay at 3 per day.
+                    sensitivity: if n == 1 { 4 } else { 3 * n },
+                    expected: |union| union as f64,
+                    label: format!("unique IPs ({n} day(s), at scale)"),
+                    paper: if n >= 4 {
+                        "672,303 [671,781; 1,118,147]"
+                    } else {
+                        "313,213 [313,039; 376,343]"
+                    },
+                    day_row: Some(("pool / fresh", |t| t.unique().to_string())),
+                    network: Some(NetworkPlan {
+                        how: Extrapolation::ClientPool,
+                        label: "network-wide clients (per-day fractions)",
+                        // The churn process's definitional multi-day union
+                        // (pinned exact by the ChurnModel proptests) plus
+                        // the stable promiscuous set: the network-wide pool
+                        // the per-day-fraction inference tries to recover.
+                        truth: Some(
+                            (self.timeline.churn().unique_over(n) + self.timeline.promiscuous())
+                                as f64,
+                        ),
+                        paper: "—",
+                    }),
+                }),
+                privcount: None,
+                note: &["guard fractions"],
+                note_exact: false,
+                keep: |o, truths| o.day_truths = truths,
+            }
+            .run(self, spec),
+            RoundKind::UniqueCountries => RoundPlan {
+                title: format!("Unique client countries, day {} (PSC)", spec.start_day),
+                observe: |c, _, dep, snap| {
+                    c.observe_clients(dep, snap, |ip| dep.geo.country_of(ip))
                 },
-                fraction: observe,
-            });
-            union = union.merge(truth.clone());
-            day_truths.push(truth);
-        }
-        // Noise sensitivity per Table 1, matching tab5's calibration:
-        // a 1-day round bounds NewIpDay1 at 4; a multi-day round
-        // bounds NewIpMultiDay at 3 per day of the window.
-        let sensitivity = if spec.duration_days == 1 {
-            4
-        } else {
-            3 * spec.duration_days
-        };
-        let expected = union.unique() as f64;
-        let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
-        self.apply_psc_attack(&mut cfg);
-        let result =
-            match psc::run_psc_round_days(cfg, psc::items::unique_client_ips(), day_streams) {
-                Ok(result) => result,
-                Err(err) => return self.aborted_outcome(spec, err),
-            };
-        let mut anomalies = Vec::new();
-        let est = result.estimate(0.95);
-        // Split the measured union into the known promiscuous component
-        // and the selective remainder; extrapolate only the latter.
-        let network = if shares.iter().map(|s| s.share).sum::<f64>() > 0.0 {
-            multi_day_network_estimate(&est.shift(-prom), &shares).shift(prom)
-        } else {
-            est // degenerate pool: purely promiscuous, nothing to infer
-        };
-        // Repeats of this statistic on other days re-draw the Binomial
-        // observation thinning; its variance is not in the PSC interval,
-        // so the reconciliation estimate widens by its 95% band.
-        let mean_observe = shares.iter().map(|s| s.fraction).sum::<f64>() / shares.len() as f64;
-        let daily = self.timeline.churn().daily_unique as f64;
-        let sampling_sd = (daily * mean_observe * (1.0 - mean_observe)).sqrt() / mean_observe;
-        let reconcile_est = Estimate::with_ci(
-            network.value,
-            pm_stats::Interval::new(
-                network.ci.lo - 1.96 * sampling_sd,
-                network.ci.hi + 1.96 * sampling_sd,
-            ),
-        );
-
-        let mut report = Report::new(
-            spec.id.clone(),
-            format!(
-                "Unique client IPs, days {}..{} (PSC)",
-                spec.start_day,
-                spec.start_day + spec.duration_days
-            ),
-        );
-        report.row(ReportRow::new(
-            format!("unique IPs ({} day(s), at scale)", spec.duration_days),
-            fmt_estimate(&est),
-            fmt_count(union.unique() as f64),
-            if spec.duration_days >= 4 {
-                "672,303 [671,781; 1,118,147]"
-            } else {
-                "313,213 [313,039; 376,343]"
-            },
-        ));
-        for ((day, truth), share) in spec.days().zip(&day_truths).zip(&shares) {
-            Self::check_day_attribution(spec, day, &truth.days, &mut anomalies);
-            report.row(ReportRow::new(
-                format!("day {day}: pool / fresh"),
-                "—",
-                format!("{} / {}", truth.unique(), share.share as u64),
-                "—",
-            ));
-        }
-        report.row(ReportRow::new(
-            "network-wide clients (per-day fractions)",
-            fmt_estimate(&network),
-            // Reference: the churn process's definitional multi-day
-            // union (pinned exact by the ChurnModel proptests) plus the
-            // stable promiscuous set — the network-wide pool the
-            // per-day-fraction inference is trying to recover.
-            fmt_count(
-                (self.timeline.churn().unique_over(spec.duration_days)
-                    + self.timeline.promiscuous()) as f64,
-            ),
-            "—",
-        ));
-        report.note(format!(
-            "per-day guard fractions {:?}",
-            guard_fractions
-                .iter()
-                .map(|p| format!("{p:.4}"))
-                .collect::<Vec<_>>()
-        ));
-        let status =
-            Self::plausibility_status(spec, &est, expected, 2.5, &mut report, &mut anomalies);
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths,
-            domain_truths: Vec::new(),
-            onion_truths: Vec::new(),
-            estimate: Some(est),
-            network_estimate: Some(network),
-            reconcile_estimate: Some(reconcile_est),
-            status,
-            anomalies,
-        }
-    }
-
-    /// One PSC unique-country round on the round's day.
-    fn run_unique_countries(&self, spec: &RoundSpec) -> RoundOutcome {
-        let day = spec.start_day;
-        let snap = self.timeline.snapshot(day);
-        let dep = self.base.for_day(&snap);
-        let (_, observe) = self.observe_on(&snap);
-        let (stream, truth) =
-            self.timeline
-                .client_ip_day(day, observe, dep.shards, dep.entry_relays());
-        let truth_countries: std::collections::BTreeSet<_> =
-            truth.ips.iter().map(|ip| dep.geo.country_of(*ip)).collect();
-        let mut cfg = psc_round(&dep, 260.0, 4, &spec.id);
-        self.apply_psc_attack(&mut cfg);
-        let result = match psc::run_psc_round_streams(
-            cfg,
-            psc::items::unique_countries(Arc::clone(&dep.geo)),
-            vec![stream],
-        ) {
-            Ok(result) => result,
-            Err(err) => return self.aborted_outcome(spec, err),
-        };
-        let mut anomalies = Vec::new();
-        let est = result.estimate(0.95);
-        let mut report = Report::new(
-            spec.id.clone(),
-            format!("Unique client countries, day {day} (PSC)"),
-        );
-        report.row(ReportRow::new(
-            "countries (at scale)",
-            fmt_estimate(&est),
-            fmt_count(truth_countries.len() as f64),
-            "203 [141; 250]",
-        ));
-        let status = Self::plausibility_status(spec, &est, 260.0, 2.5, &mut report, &mut anomalies);
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths: vec![truth],
-            domain_truths: Vec::new(),
-            onion_truths: Vec::new(),
-            estimate: Some(est),
-            network_estimate: None,
-            reconcile_estimate: None,
-            status,
-            anomalies,
-        }
-    }
-
-    /// Day-indexed PrivCount traffic sub-rounds over the window.
-    fn run_client_traffic(&self, spec: &RoundSpec) -> RoundOutcome {
-        let mut report = Report::new(
-            spec.id.clone(),
-            format!(
-                "Client traffic, days {}..{} (PrivCount)",
-                spec.start_day,
-                spec.start_day + spec.duration_days
-            ),
-        );
-        let mut day_streams = Vec::new();
-        let mut fractions = Vec::new();
-        let mut deps: Vec<Deployment> = Vec::new();
-        for day in spec.days() {
-            // One snapshot fetch per day (see run_unique_ips).
-            let dep = self.base.for_day(&self.timeline.snapshot(day));
-            let p = dep.weights.tab4_entry;
-            day_streams.push(client_traffic_streams(&dep, p, 10, &spec.id));
-            fractions.push(p);
-            deps.push(dep);
-        }
-        let first_dep = &deps[0];
-        let schema = privcount::queries::client_traffic(first_dep.eps(), first_dep.delta());
-        let mut cfg = privcount_round(first_dep, schema, &spec.id);
-        self.apply_privcount_attack(&mut cfg);
-        let results = match privcount::run_round_days(cfg, day_streams) {
-            Ok(results) => results,
-            Err(err) => return self.aborted_outcome(spec, err),
-        };
-        let mut anomalies = Vec::new();
-        let t = &self.base.workload.clients;
-        for ((day, result), p) in spec.days().zip(&results).zip(&fractions) {
-            let conns = first_dep.to_network(result.estimate("client.connections"), *p);
-            report.row(ReportRow::new(
-                format!("day {day}: connections (network-wide)"),
-                fmt_estimate(&conns),
-                fmt_count(t.connections_per_day),
-                "148e6 [143e6; 153e6]",
-            ));
-        }
-        report.note(format!("per-day entry fractions {fractions:?}"));
-        let first = &results[0];
-        let est = first_dep.to_network(first.estimate("client.connections"), fractions[0]);
-        // Inflated increments pass through blinding untouched; the cap
-        // is wider here (10x) because the network extrapolation divides
-        // by a small drifting fraction.
-        let status = Self::plausibility_status(
-            spec,
-            &est,
-            t.connections_per_day,
-            10.0,
-            &mut report,
-            &mut anomalies,
-        );
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths: Vec::new(),
-            domain_truths: Vec::new(),
-            onion_truths: Vec::new(),
-            estimate: Some(est),
-            network_estimate: None,
-            reconcile_estimate: None,
-            status,
-            anomalies,
-        }
-    }
-
-    /// One exit-domain window: a PSC unique-SLD round chained over the
-    /// window's per-day exit streams (the stable popular domains mark
-    /// their cells once however many days revisit them), day-indexed
-    /// PrivCount stream counters over bit-identical copies of the same
-    /// streams, and a network-wide unique-SLD extrapolation in which
-    /// each day's fresh contribution divides by that day's own exit
-    /// fraction (`pm_stats::union::multi_day_network_estimate`).
-    fn run_exit_domains(&self, spec: &RoundSpec) -> RoundOutcome {
-        let dep = self.base.for_day(&self.timeline.snapshot(spec.start_day));
-        let mut psc_days: Vec<Vec<EventStream>> = Vec::new();
-        let mut pc_days: Vec<Vec<EventStream>> = Vec::new();
-        let mut day_truths: Vec<DomainDayTruth> = Vec::new();
-        let mut shares: Vec<DayShare> = Vec::new();
-        let mut exit_fractions: Vec<f64> = Vec::new();
-        let mut union = DomainDayTruth::default();
-        for day in spec.days() {
-            // One snapshot fetch per day (see run_unique_ips).
-            let snap = self.timeline.snapshot(day);
-            let p = snap.fraction(Position::Exit);
-            exit_fractions.push(p);
-            let (mut streams, truth) = self.timeline.exit_stream_day(
-                &snap,
-                &dep.sites,
-                &self.base.workload.exit,
-                dep.scale,
-                dep.shards,
-                dep.exit_relays(),
-                2,
-            );
-            // Both systems observe the identical events of the shared
-            // window, so their truths cannot drift apart.
-            // lint:allow(panic) exit_stream_day was asked for exactly two stream copies
-            pc_days.push(vec![streams.pop().expect("two copies")]);
-            // lint:allow(panic) exit_stream_day was asked for exactly two stream copies
-            psc_days.push(vec![streams.pop().expect("two copies")]);
-            shares.push(DayShare {
-                share: truth.new_vs(&union) as f64,
-                fraction: p,
-            });
-            union = union.merge(truth.clone());
-            day_truths.push(truth);
-        }
-        // Table 1 sensitivity: tab2's SLD round bounds 20 per day.
-        let sensitivity = 20 * spec.duration_days;
-        let expected = union.unique() as f64;
-        let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
-        self.apply_psc_attack(&mut cfg);
-        let result = match psc::run_psc_round_days(
-            cfg,
-            psc::items::unique_slds(Arc::clone(&dep.sites), false),
-            psc_days,
-        ) {
-            Ok(result) => result,
-            Err(err) => return self.aborted_outcome(spec, err),
-        };
-        let mut anomalies = Vec::new();
-        let est = result.estimate(0.95);
-        let network = (shares.iter().map(|s| s.share).sum::<f64>() > 0.0)
-            .then(|| multi_day_network_estimate(&est, &shares));
-
-        let schema = privcount::queries::exit_streams(dep.eps(), dep.delta());
-        let pc_cfg = privcount_round(&dep, schema, &format!("{}-pc", spec.id));
-        let results = match privcount::run_round_days(pc_cfg, pc_days) {
-            Ok(results) => results,
-            Err(err) => return self.aborted_outcome(spec, err),
-        };
-
-        let mut report = Report::new(
-            spec.id.clone(),
-            format!(
-                "Exit domains, days {}..{} (PSC SLDs + PrivCount streams)",
-                spec.start_day,
-                spec.start_day + spec.duration_days
-            ),
-        );
-        report.row(ReportRow::new(
-            format!("unique SLDs ({} day(s), at scale)", spec.duration_days),
-            fmt_estimate(&est),
-            fmt_count(union.unique() as f64),
-            "471,228 [470,357; 472,099]",
-        ));
-        for ((day, truth), share) in spec.days().zip(&day_truths).zip(&shares) {
-            Self::check_day_attribution(spec, day, &truth.days, &mut anomalies);
-            report.row(ReportRow::new(
-                format!("day {day}: streams / initial / fresh SLDs"),
-                "—",
-                format!(
-                    "{} / {} / {}",
-                    truth.streams, truth.initial_streams, share.share as u64
+                psc: Some(PscPlan {
+                    items: |dep| psc::items::unique_countries(Arc::clone(&dep.geo)),
+                    sensitivity: 4,
+                    expected: |_| 260.0,
+                    label: "countries (at scale)".into(),
+                    paper: "203 [141; 250]",
+                    day_row: None,
+                    network: None,
+                }),
+                privcount: None,
+                note: &[],
+                note_exact: false,
+                keep: |_, _| {},
+            }
+            .run(self, spec),
+            RoundKind::ClientTraffic => RoundPlan::<(), ()> {
+                title: format!("Client traffic, {} (PrivCount)", window(spec)),
+                observe: |c, spec, _, snap| {
+                    let day_dep = c.base.for_day(snap);
+                    let p = day_dep.weights.tab4_entry;
+                    DayObservation {
+                        psc: None,
+                        privcount: client_traffic_streams(&day_dep, p, 10, &spec.id),
+                        observe: p,
+                        fraction: p,
+                        noted: vec![p],
+                    }
+                },
+                psc: None,
+                privcount: Some(PrivCountPlan {
+                    schema: privcount::queries::client_traffic,
+                    counter: "client.connections",
+                    label: "connections (network-wide)",
+                    truth: workload.clients.connections_per_day,
+                    paper: "148e6 [143e6; 153e6]",
+                }),
+                note: &["entry fractions"],
+                note_exact: true,
+                keep: |_, _| {},
+            }
+            .run(self, spec),
+            RoundKind::ExitDomains => RoundPlan {
+                title: format!(
+                    "Exit domains, {} (PSC SLDs + PrivCount streams)",
+                    window(spec)
                 ),
-                "—",
-            ));
-        }
-        if let Some(net) = &network {
-            report.row(ReportRow::new(
-                "network-wide SLDs (per-day exit fractions)",
-                fmt_estimate(net),
-                "—",
-                "—",
-            ));
-        }
-        let t = &self.base.workload.exit;
-        for ((day, result), p) in spec.days().zip(&results).zip(&exit_fractions) {
-            let initial = dep.to_network(result.estimate("streams.initial"), *p);
-            report.row(ReportRow::new(
-                format!("day {day}: initial streams (network-wide)"),
-                fmt_estimate(&initial),
-                fmt_count(t.streams_per_day * t.initial_fraction),
-                "≈1.0e8 (Fig. 1)",
-            ));
-        }
-        report.note(format!(
-            "per-day exit fractions {:?}",
-            exit_fractions
-                .iter()
-                .map(|p| format!("{p:.4}"))
-                .collect::<Vec<_>>()
-        ));
-        let status =
-            Self::plausibility_status(spec, &est, expected, 2.5, &mut report, &mut anomalies);
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths: Vec::new(),
-            domain_truths: day_truths,
-            onion_truths: Vec::new(),
-            estimate: Some(est),
-            network_estimate: network,
-            reconcile_estimate: None,
-            status,
-            anomalies,
+                observe: |c, _, dep, snap| {
+                    let p = snap.fraction(Position::Exit);
+                    let exit = &c.base.workload.exit;
+                    let relays = dep.exit_relays();
+                    let (mut streams, truth) = c
+                        .timeline
+                        .exit_stream_day(snap, &dep.sites, exit, dep.scale, dep.shards, relays, 2);
+                    // Both systems observe the identical events of the
+                    // shared window, so their truths cannot drift apart.
+                    let privcount = streams.split_off(1);
+                    DayObservation {
+                        psc: streams.pop().map(|stream| (stream, truth)),
+                        privcount,
+                        observe: p,
+                        fraction: p,
+                        noted: vec![p],
+                    }
+                },
+                psc: Some(PscPlan {
+                    items: |dep| psc::items::unique_slds(Arc::clone(&dep.sites), false),
+                    // Table 1 sensitivity: tab2's SLD round bounds 20 per day.
+                    sensitivity: 20 * n,
+                    expected: |union| union as f64,
+                    label: format!("unique SLDs ({n} day(s), at scale)"),
+                    paper: "471,228 [470,357; 472,099]",
+                    day_row: Some(("streams / initial / fresh SLDs", |t| {
+                        format!("{} / {}", t.tally.streams, t.tally.initial_streams)
+                    })),
+                    network: Some(NetworkPlan {
+                        how: Extrapolation::PerDayShares,
+                        label: "network-wide SLDs (per-day exit fractions)",
+                        truth: None,
+                        paper: "—",
+                    }),
+                }),
+                privcount: Some(PrivCountPlan {
+                    schema: privcount::queries::exit_streams,
+                    counter: "streams.initial",
+                    label: "initial streams (network-wide)",
+                    truth: workload.exit.streams_per_day * workload.exit.initial_fraction,
+                    paper: "≈1.0e8 (Fig. 1)",
+                }),
+                note: &["exit fractions"],
+                note_exact: false,
+                keep: |o, truths| o.domain_truths = truths,
+            }
+            .run(self, spec),
+            RoundKind::OnionServices => RoundPlan {
+                title: format!(
+                    "Onion services, {} (PSC publishes + PrivCount rendezvous)",
+                    window(spec)
+                ),
+                observe: |c, _, dep, snap| {
+                    let onion = &c.base.workload.onion;
+                    let relays = dep.entry_relays();
+                    let hs = c
+                        .timeline
+                        .hs_stream_day(snap, &dep.sites, onion, dep.scale, dep.shards, relays);
+                    // Extrapolation divides by the exact probabilities the
+                    // streams were thinned at; they travel with the streams.
+                    DayObservation {
+                        psc: Some((hs.publish, hs.truth)),
+                        privcount: vec![hs.rendezvous],
+                        observe: hs.publish_observe,
+                        fraction: hs.rend_fraction,
+                        noted: vec![hs.publish_observe, hs.rend_fraction],
+                    }
+                },
+                psc: Some(PscPlan {
+                    items: |_| psc::items::unique_onions_published(),
+                    // Table 1 sensitivity: tab6's publish round bounds 3 per day.
+                    sensitivity: 3 * n,
+                    expected: |union| (union as f64).max(64.0),
+                    label: format!("unique onions published ({n} day(s), at scale)"),
+                    paper: "3,900 [3,769; 4,045]",
+                    day_row: Some(("publishes / fresh onions", |t| {
+                        t.tally.publishes.to_string()
+                    })),
+                    network: Some(NetworkPlan {
+                        how: Extrapolation::CombinedDays,
+                        label: "network-wide published (per-day HSDir fractions)",
+                        truth: Some(workload.onion.published_addresses as f64),
+                        paper: "70,826 [65,738; 76,350]",
+                    }),
+                }),
+                privcount: Some(PrivCountPlan {
+                    schema: privcount::queries::rendezvous,
+                    counter: "rend.circuits",
+                    label: "rend circuits (network-wide)",
+                    truth: workload.onion.rend_circuits_per_day,
+                    paper: "366e6 [351e6; 380e6]",
+                }),
+                note: &["publish observe probs", "rend fractions"],
+                note_exact: false,
+                keep: |o, truths| o.onion_truths = truths,
+            }
+            .run(self, spec),
         }
     }
 
-    /// One onion-service window: a PSC unique-published-address round
-    /// chained over the window's per-day HSDir publish streams, plus
-    /// day-indexed PrivCount rendezvous counters. The published
-    /// universe is fixed across the window while each day's replica
-    /// placement re-randomizes (v2 descriptor ids rotate daily), so
-    /// the network extrapolation divides the measured union by the
-    /// combined probability `1 − Π(1 − q_d)` with each day's own
-    /// HSDir fraction — §6.1's replica extrapolation extended across
-    /// the window's days.
-    fn run_onion_services(&self, spec: &RoundSpec) -> RoundOutcome {
-        let dep = self.base.for_day(&self.timeline.snapshot(spec.start_day));
-        let mut psc_days: Vec<Vec<EventStream>> = Vec::new();
-        let mut pc_days: Vec<Vec<EventStream>> = Vec::new();
-        let mut day_truths: Vec<OnionDayTruth> = Vec::new();
-        let mut fresh_onions: Vec<u64> = Vec::new();
-        let mut publish_observes: Vec<f64> = Vec::new();
-        let mut rend_fractions: Vec<f64> = Vec::new();
-        let mut union = OnionDayTruth::default();
-        for day in spec.days() {
-            // One snapshot fetch per day (see run_unique_ips).
-            let snap = self.timeline.snapshot(day);
-            let hs_day = self.timeline.hs_stream_day(
-                &snap,
-                &dep.sites,
-                &self.base.workload.onion,
-                dep.scale,
-                dep.shards,
-                dep.entry_relays(),
-            );
-            // Extrapolation divides by the exact probabilities the
-            // streams were thinned at — they travel with the streams.
-            publish_observes.push(hs_day.publish_observe);
-            rend_fractions.push(hs_day.rend_fraction);
-            psc_days.push(vec![hs_day.publish]);
-            pc_days.push(vec![hs_day.rendezvous]);
-            fresh_onions.push(hs_day.truth.new_vs(&union));
-            union = union.merge(hs_day.truth.clone());
-            day_truths.push(hs_day.truth);
+    /// One day's observed client pool, its truth's IPs mapped to the
+    /// round's items. A client is observed with the day's guard
+    /// fraction compounded over the guards each client contacts.
+    fn observe_clients<T: Ord>(
+        &self,
+        dep: &Deployment,
+        snap: &DaySnapshot,
+        item: impl Fn(IpAddr) -> T,
+    ) -> DayObservation<T, ()> {
+        let p = snap.fraction(Position::Guard);
+        let observe = observe_probability(p, self.base.workload.clients.guards_per_client);
+        let (stream, ips) =
+            self.timeline
+                .client_ip_day(snap.day, observe, dep.shards, dep.entry_relays());
+        let truth = DistinctTruth {
+            days: ips.days,
+            items: ips.items.into_iter().map(item).collect(),
+            tally: (),
+        };
+        DayObservation {
+            psc: Some((stream, truth)),
+            privcount: Vec::new(),
+            observe,
+            fraction: p,
+            noted: vec![p],
         }
-        let t = &self.base.workload.onion;
-        // Table 1 sensitivity: tab6's publish round bounds 3 per day.
-        let sensitivity = 3 * spec.duration_days;
-        let expected = (union.unique() as f64).max(64.0);
-        let mut cfg = psc_round(&dep, expected, sensitivity, &spec.id);
-        self.apply_psc_attack(&mut cfg);
-        let result =
-            match psc::run_psc_round_days(cfg, psc::items::unique_onions_published(), psc_days) {
-                Ok(result) => result,
-                Err(err) => return self.aborted_outcome(spec, err),
-            };
-        let mut anomalies = Vec::new();
-        let est = result.estimate(0.95);
-        let combined = 1.0 - publish_observes.iter().map(|q| 1.0 - q).product::<f64>();
-        let network =
-            (combined > 0.0).then(|| est.scale_to_network(combined).scale_to_network(dep.scale));
+    }
 
-        let schema = privcount::queries::rendezvous(dep.eps(), dep.delta());
-        let pc_cfg = privcount_round(&dep, schema, &format!("{}-pc", spec.id));
-        let results = match privcount::run_round_days(pc_cfg, pc_days) {
-            Ok(results) => results,
-            Err(err) => return self.aborted_outcome(spec, err),
+    /// Network-wide inference of a PSC round's measured union, plus the
+    /// estimate repeats of the statistic reconcile on (client pools
+    /// only).
+    fn extrapolate(
+        &self,
+        how: Extrapolation,
+        est: Estimate,
+        shares: &[DayShare],
+    ) -> (Option<Estimate>, Option<Estimate>) {
+        let any_fresh = shares.iter().map(|s| s.share).sum::<f64>() > 0.0;
+        match how {
+            Extrapolation::PerDayShares => (
+                any_fresh.then(|| multi_day_network_estimate(&est, shares)),
+                None,
+            ),
+            Extrapolation::CombinedDays => {
+                let combined = 1.0 - shares.iter().map(|s| 1.0 - s.fraction).product::<f64>();
+                let network = (combined > 0.0).then(|| {
+                    est.scale_to_network(combined)
+                        .scale_to_network(self.base.scale)
+                });
+                (network, None)
+            }
+            Extrapolation::ClientPool => {
+                let prom = self.timeline.promiscuous() as f64;
+                let network = if any_fresh {
+                    multi_day_network_estimate(&est.shift(-prom), shares).shift(prom)
+                } else {
+                    est // degenerate pool: purely promiscuous, nothing to infer
+                };
+                // Repeats of this statistic on other days re-draw the
+                // Binomial observation thinning; its variance is not in
+                // the PSC interval, so the reconciliation estimate widens
+                // by its 95% band.
+                let mean_observe =
+                    shares.iter().map(|s| s.fraction).sum::<f64>() / shares.len() as f64;
+                let daily = self.timeline.churn().daily_unique as f64;
+                let sd = (daily * mean_observe * (1.0 - mean_observe)).sqrt() / mean_observe;
+                let ci =
+                    pm_stats::Interval::new(network.ci.lo - 1.96 * sd, network.ci.hi + 1.96 * sd);
+                (Some(network), Some(Estimate::with_ci(network.value, ci)))
+            }
+        }
+    }
+}
+
+/// The round's calendar window, as report titles print it.
+fn window(spec: &RoundSpec) -> String {
+    format!("days {:?}", spec.days())
+}
+
+/// The plain description of one round kind that the shared pipeline
+/// ([`RoundPlan::run`]) executes: how a day is observed, which
+/// protocols count the window, and how the report reads.
+struct RoundPlan<T, C> {
+    title: String,
+    /// Observes one day: `(campaign, round, round deployment, the
+    /// day's snapshot)`.
+    observe: fn(&Campaign, &RoundSpec, &Deployment, &DaySnapshot) -> DayObservation<T, C>,
+    /// One PSC round over the window's chained day streams.
+    psc: Option<PscPlan<T, C>>,
+    /// Day-indexed PrivCount sub-rounds.
+    privcount: Option<PrivCountPlan>,
+    /// Names of the [`DayObservation::noted`] series the report's
+    /// per-day note lists (empty: no note).
+    note: &'static [&'static str],
+    /// Whether the note prints full precision rather than 4 decimals.
+    note_exact: bool,
+    /// Stores the per-day truths in the outcome field of their kind.
+    keep: fn(&mut RoundOutcome, Vec<DistinctTruth<T, C>>),
+}
+
+/// A per-day report row's truth column, before its `" / {fresh}"`.
+type DayCounts<T, C> = fn(&DistinctTruth<T, C>) -> String;
+
+/// A round's PSC count and its report rows.
+struct PscPlan<T, C> {
+    items: fn(&Deployment) -> psc::items::ItemExtractor,
+    /// Table 1 noise sensitivity of the window.
+    sensitivity: u64,
+    /// Sizing expectation from the window's true union size.
+    expected: fn(u64) -> f64,
+    /// Headline row label and paper column.
+    label: String,
+    paper: &'static str,
+    /// Per-day rows: the label after `"day {d}: "` and the day's counts.
+    day_row: Option<(&'static str, DayCounts<T, C>)>,
+    network: Option<NetworkPlan>,
+}
+
+/// How a PSC union extrapolates to the network, and its report row.
+struct NetworkPlan {
+    how: Extrapolation,
+    label: &'static str,
+    /// The row's truth column (`None` prints `—`).
+    truth: Option<f64>,
+    paper: &'static str,
+}
+
+/// Network-wide inference of a measured multi-day union.
+#[derive(Clone, Copy)]
+enum Extrapolation {
+    /// Each day's fresh share divides by that day's own observation
+    /// probability (`pm_stats::union::multi_day_network_estimate`).
+    PerDayShares,
+    /// The measured union splits into the always-observed promiscuous
+    /// clients and the selective remainder; only the latter
+    /// extrapolates ([`Self::PerDayShares`]).
+    ClientPool,
+    /// The published universe is fixed across the window while each
+    /// day's replica placement re-randomizes (v2 descriptor ids rotate
+    /// daily), so the union divides by the combined probability
+    /// `1 − Π(1 − q_d)` with each day's own HSDir-level `q_d` — §6.1's
+    /// replica extrapolation extended across the window's days.
+    CombinedDays,
+}
+
+/// A round's day-indexed PrivCount counter and its per-day rows.
+struct PrivCountPlan {
+    /// The query schema at `(ε, δ)`.
+    schema: fn(f64, f64) -> privcount::counter::Schema,
+    counter: &'static str,
+    /// Row label after `"day {d}: "`.
+    label: &'static str,
+    /// Truth column, and the sizing expectation of a PrivCount-only
+    /// round.
+    truth: f64,
+    paper: &'static str,
+}
+
+/// One collected day of a round, as its kind observes it.
+struct DayObservation<T, C> {
+    /// The day's PSC stream and exact ground truth.
+    psc: Option<(EventStream, DistinctTruth<T, C>)>,
+    /// The day's PrivCount DC streams.
+    privcount: Vec<EventStream>,
+    /// Observation probability the day's fresh PSC share divides by.
+    observe: f64,
+    /// Instrumented fraction the day's PrivCount counts divide by.
+    fraction: f64,
+    /// The values the report's per-day note lists.
+    noted: Vec<f64>,
+}
+
+impl<T: Ord + Clone, C: Tally + Clone> RoundPlan<T, C> {
+    /// The shared round pipeline every [`RoundKind`] runs.
+    fn run(self, c: &Campaign, spec: &RoundSpec) -> RoundOutcome {
+        // 1-2. Observe each day and fold its fresh share against the
+        // running union. One snapshot fetch per day: the shared timeline
+        // cursor evolves the network incrementally, so a calendar sweep
+        // is O(churn) per day rather than replaying day 0..d.
+        let dep = c.base.for_day(&c.timeline.snapshot(spec.start_day));
+        let mut anomalies = Vec::new();
+        let mut union = DistinctTruth::<T, C>::default();
+        let (mut truths, mut shares, mut psc_days) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut pc_days, mut fractions, mut noted) = (Vec::new(), Vec::new(), Vec::new());
+        for (k, day) in spec.days().enumerate() {
+            let obs = (self.observe)(c, spec, &dep, &c.timeline.snapshot(day));
+            if let Some((stream, truth)) = obs.psc {
+                // An unattributed truth is flagged, never read as day 0.
+                if truth.days.is_empty() {
+                    anomalies.push(Anomaly::new(
+                        AnomalyKind::EmptyTruth,
+                        spec.id.clone(),
+                        Some(day),
+                        format!("day {day} ground truth carries no day attribution"),
+                    ));
+                }
+                // Promiscuous clients sit in every day's pool, always
+                // observed: all fresh on the first day, they must not be
+                // divided by the selective fraction.
+                let mut fresh = truth.new_vs(&union) as f64;
+                if k == 0 && matches!(self.network(), Some(Extrapolation::ClientPool)) {
+                    fresh = (fresh - c.timeline.promiscuous() as f64).max(0.0);
+                }
+                shares.push(DayShare {
+                    share: fresh,
+                    fraction: obs.observe,
+                });
+                union = union.merge(truth.clone());
+                truths.push(truth);
+                psc_days.push(vec![stream]);
+            }
+            if !obs.privcount.is_empty() {
+                pc_days.push(obs.privcount);
+            }
+            fractions.push(obs.fraction);
+            noted.push(obs.noted);
+        }
+
+        // 3-4. One PSC round over the chained day streams, then the
+        // day-indexed PrivCount sub-rounds. The campaign's attack
+        // targets the round's lead protocol: PSC where the round has
+        // one, else PrivCount; ride-along PrivCount sub-rounds run
+        // honestly under their own `"{id}-pc"` label.
+        let expected = self.psc.as_ref().map(|p| (p.expected)(union.unique()));
+        let counted = (|| -> Result<_, NodeError> {
+            let mut psc_est = None;
+            if let (Some(p), Some(expected)) = (&self.psc, expected) {
+                let mut cfg = psc_round(&dep, expected, p.sensitivity, &spec.id);
+                c.apply_psc_attack(&mut cfg);
+                let result = psc::run_psc_round_days(cfg, (p.items)(&dep), psc_days)?;
+                psc_est = Some(result.estimate(0.95));
+            }
+            // Each day's PrivCount count, network-wide.
+            let mut pc_estimates = Vec::new();
+            if let Some(p) = &self.privcount {
+                let schema = (p.schema)(dep.eps(), dep.delta());
+                let cfg = if self.psc.is_some() {
+                    privcount_round(&dep, schema, &format!("{}-pc", spec.id))
+                } else {
+                    let mut cfg = privcount_round(&dep, schema, &spec.id);
+                    c.apply_privcount_attack(&mut cfg);
+                    cfg
+                };
+                let results = privcount::run_round_days(cfg, pc_days)?;
+                pc_estimates = results
+                    .iter()
+                    .zip(&fractions)
+                    .map(|(result, f)| dep.to_network(result.estimate(p.counter), *f))
+                    .collect();
+            }
+            Ok((psc_est, pc_estimates))
+        })();
+        let (psc_est, pc_estimates) = match counted {
+            Ok(counts) => counts,
+            Err(err) => return c.aborted_outcome(spec, err),
         };
 
-        let mut report = Report::new(
-            spec.id.clone(),
-            format!(
-                "Onion services, days {}..{} (PSC publishes + PrivCount rendezvous)",
-                spec.start_day,
-                spec.start_day + spec.duration_days
-            ),
-        );
-        report.row(ReportRow::new(
-            format!(
-                "unique onions published ({} day(s), at scale)",
-                spec.duration_days
-            ),
-            fmt_estimate(&est),
-            fmt_count(union.unique() as f64),
-            "3,900 [3,769; 4,045]",
-        ));
-        for ((day, truth), fresh) in spec.days().zip(&day_truths).zip(&fresh_onions) {
-            Self::check_day_attribution(spec, day, &truth.days, &mut anomalies);
-            report.row(ReportRow::new(
-                format!("day {day}: publishes / fresh onions"),
-                "—",
-                format!("{} / {fresh}", truth.publishes),
-                "—",
-            ));
+        // 5. Extrapolate the PSC union to the network.
+        let (network, reconcile) = match (self.network(), psc_est) {
+            (Some(how), Some(est)) => c.extrapolate(how, est, &shares),
+            _ => (None, None),
+        };
+
+        // 6. The report: headline, per-day rows, network row, PrivCount
+        // per-day rows, per-day-fraction note.
+        let mut report = Report::new(spec.id.clone(), self.title);
+        if let (Some(p), Some(est)) = (&self.psc, &psc_est) {
+            let truth = fmt_count(union.unique() as f64);
+            report.row(ReportRow::new(&p.label, fmt_estimate(est), truth, p.paper));
+            if let Some((label, counts)) = p.day_row {
+                for ((day, truth), share) in spec.days().zip(&truths).zip(&shares) {
+                    report.row(ReportRow::new(
+                        format!("day {day}: {label}"),
+                        "—",
+                        format!("{} / {}", counts(truth), share.share as u64),
+                        "—",
+                    ));
+                }
+            }
+            if let (Some(net), Some(value)) = (&p.network, &network) {
+                report.row(ReportRow::new(
+                    net.label,
+                    fmt_estimate(value),
+                    net.truth.map_or_else(|| "—".to_string(), fmt_count),
+                    net.paper,
+                ));
+            }
         }
-        if let Some(net) = &network {
-            report.row(ReportRow::new(
-                "network-wide published (per-day HSDir fractions)",
-                fmt_estimate(net),
-                fmt_count(t.published_addresses as f64),
-                "70,826 [65,738; 76,350]",
-            ));
+        if let Some(p) = &self.privcount {
+            for (day, value) in spec.days().zip(&pc_estimates) {
+                report.row(ReportRow::new(
+                    format!("day {day}: {}", p.label),
+                    fmt_estimate(value),
+                    fmt_count(p.truth),
+                    p.paper,
+                ));
+            }
         }
-        for ((day, result), p) in spec.days().zip(&results).zip(&rend_fractions) {
-            let circuits = dep.to_network(result.estimate("rend.circuits"), *p);
-            report.row(ReportRow::new(
-                format!("day {day}: rend circuits (network-wide)"),
-                fmt_estimate(&circuits),
-                fmt_count(t.rend_circuits_per_day),
-                "366e6 [351e6; 380e6]",
-            ));
+        if !self.note.is_empty() {
+            let series: Vec<String> = (0..self.note.len())
+                .map(|i| {
+                    let values: Vec<f64> = noted.iter().map(|n| n[i]).collect();
+                    if self.note_exact {
+                        format!("{} {values:?}", self.note[i])
+                    } else {
+                        let rounded: Vec<String> =
+                            values.iter().map(|p| format!("{p:.4}")).collect();
+                        format!("{} {rounded:?}", self.note[i])
+                    }
+                })
+                .collect();
+            report.note(format!("per-day {}", series.join(", ")));
         }
-        report.note(format!(
-            "per-day publish observe probs {:?}, rend fractions {:?}",
-            publish_observes
-                .iter()
-                .map(|p| format!("{p:.4}"))
-                .collect::<Vec<_>>(),
-            rend_fractions
-                .iter()
-                .map(|p| format!("{p:.4}"))
-                .collect::<Vec<_>>()
-        ));
-        let status =
-            Self::plausibility_status(spec, &est, expected, 2.5, &mut report, &mut anomalies);
-        RoundOutcome {
-            spec: spec.clone(),
-            report,
-            day_truths: Vec::new(),
-            domain_truths: Vec::new(),
-            onion_truths: day_truths,
-            estimate: Some(est),
+
+        // 7. The plausibility cap: statistically-skewed shares are
+        // protocol-invisible (that is the point of blinding and oblivious
+        // counters), so the campaign cross-checks the headline count
+        // against the expectation its round was sized for. An
+        // implausible count degrades the round (reported, flagged,
+        // excluded from headline claims) but never panics. The cap is
+        // wider for a PrivCount headline: inflated increments pass
+        // through blinding untouched and its network extrapolation
+        // divides by a small drifting fraction.
+        let headline = match (psc_est, expected) {
+            (Some(est), Some(expected)) => Some((est, expected, 2.5)),
+            _ => self
+                .privcount
+                .as_ref()
+                .zip(pc_estimates.first())
+                .map(|(p, est)| (*est, p.truth, 10.0)),
+        };
+        let mut status = RoundStatus::Completed;
+        if let Some((est, expected, cap_multiple)) = headline {
+            let cap = cap_multiple * expected.max(1.0);
+            if est.value > cap {
+                let degraded = format!(
+                    "count {:.0} exceeds the plausibility cap {cap:.0} ({cap_multiple}x the \
+                     sizing expectation {expected:.0}); skewed shares cannot be attributed \
+                     to a party, so the round is kept but flagged",
+                    est.value
+                );
+                report.note(format!("recovered (degraded): {degraded}"));
+                let (id, day) = (spec.id.clone(), Some(spec.start_day));
+                anomalies.push(Anomaly::new(AnomalyKind::Degraded, id, day, &degraded));
+                status = RoundStatus::Recovered { degraded };
+            }
+        }
+        let mut outcome = RoundOutcome {
+            estimate: headline.map(|(est, ..)| est),
             network_estimate: network,
-            reconcile_estimate: None,
-            status,
-            anomalies,
-        }
+            reconcile_estimate: reconcile,
+            ..RoundOutcome::new(spec, report, status, anomalies)
+        };
+        (self.keep)(&mut outcome, truths);
+        outcome
+    }
+
+    /// How the round's PSC union extrapolates, if it does.
+    fn network(&self) -> Option<Extrapolation> {
+        Some(self.psc.as_ref()?.network.as_ref()?.how)
     }
 }
 

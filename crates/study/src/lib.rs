@@ -43,6 +43,18 @@
 //!    [`report::CampaignReport`] is bit-identical for sequential vs
 //!    parallel execution and for every shard count.
 //!
+//! # One round pipeline
+//!
+//! Every round kind runs the same recipe, written once: a `match` on
+//! the [`campaign::RoundKind`] yields a plain description (how a day
+//! is observed, PSC items, sensitivity and sizing, PrivCount schema and
+//! counter, row labels, paper column), and one pipeline takes a
+//! snapshot per day, folds each day's fresh share into the running
+//! union, runs the PSC round and/or the day-indexed PrivCount
+//! sub-rounds, extrapolates to the network, writes the report rows and
+//! applies the plausibility cap. A protocol failure ends the round
+//! [`campaign::RoundStatus::Aborted`] instead.
+//!
 //! # Exit-domain and onion-service rounds
 //!
 //! Beyond the client-side rounds, the calendar schedules two-day
@@ -82,9 +94,12 @@
 //! PrivCount sub-rounds deliberately share the window's collection
 //! with the PSC round — one window, one measurement unit over
 //! bit-identical streams, a relaxation of the paper's operational
-//! rule the ledger does not model. Per-day ground truths
-//! (`DomainDayTruth` / `OnionDayTruth`) merge associatively like
-//! `DayTruth`, so the campaign report's cumulative SLD/onion rows are
+//! rule the ledger does not model. Every per-day ground truth — client
+//! IPs, SLDs with their stream counts, published onion addresses with
+//! their publish and rendezvous counts — is one generic
+//! `torsim::timeline::DistinctTruth` that merges associatively (set
+//! union plus field-wise count sums), so the campaign report's
+//! cumulative IP, SLD and onion rows fold through one loop and are
 //! grouping-independent.
 //!
 //! # Relation to §5.1 / Table 5

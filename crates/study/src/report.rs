@@ -13,7 +13,7 @@ use crate::campaign::{CampaignConfig, RoundOutcome, RoundStatus};
 use pm_dp::accountant::{Accountant, MeasurementRound, RoundDisposition};
 use pm_obs::MetricsSnapshot;
 use pm_stats::union::reconcile;
-use torsim::timeline::{DayTruth, DomainDayTruth, OnionDayTruth};
+use torsim::timeline::{DistinctTruth, Tally};
 use torstudy::report::{csv_escape, fmt_estimate, json_escape, Report, ReportRow};
 
 /// The campaign's aggregated outcome.
@@ -41,27 +41,44 @@ pub struct CampaignReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// The calendar day a cumulative row attributes itself to. A
-/// ground-truth record with no day attribution used to silently land
-/// on day 0 — misattributing its rows to whatever round really
-/// measured day 0; now the row is labelled `day ?` and the gap becomes
-/// an explicit [`AnomalyKind::EmptyTruth`] record.
-fn day_label(
-    days: &std::collections::BTreeSet<u64>,
-    round: &str,
+/// Writes one round's cumulative rows, one per day of `truths`
+/// (labelled `day {d} [{round}]{suffix}`), folding each day into the
+/// statistic's running cross-day `union`. The last row's measured
+/// column is `headline` (or `—`).
+fn cumulative_rows<T: Ord + Clone, C: Tally + Clone>(
+    cumulative: &mut Report,
     anomalies: &mut Vec<Anomaly>,
-) -> String {
-    match days.first() {
-        Some(d) => d.to_string(),
-        None => {
-            anomalies.push(Anomaly::new(
-                AnomalyKind::EmptyTruth,
-                round,
-                None,
-                "cumulative row ground truth carries no day attribution",
-            ));
-            "?".to_string()
-        }
+    round: &str,
+    union: &mut DistinctTruth<T, C>,
+    truths: &[DistinctTruth<T, C>],
+    suffix: &str,
+    headline: Option<&str>,
+) {
+    let last = truths.len().saturating_sub(1);
+    for (i, truth) in truths.iter().enumerate() {
+        // An unattributed truth would misattribute its rows to
+        // whatever round measured day 0: label it `day ?` and flag it.
+        let day = truth.days.first().map_or_else(
+            || {
+                let detail = "cumulative row ground truth carries no day attribution";
+                anomalies.push(Anomaly::new(AnomalyKind::EmptyTruth, round, None, detail));
+                "?".to_string()
+            },
+            |d| d.to_string(),
+        );
+        let fresh = truth.new_vs(union);
+        *union = std::mem::take(union).merge(truth.clone());
+        let measured = headline.filter(|_| i == last).unwrap_or("—");
+        cumulative.row(ReportRow::new(
+            format!("day {day} [{round}]{suffix}"),
+            measured,
+            format!(
+                "pool {}, fresh {fresh}, cumulative {}",
+                truth.unique(),
+                union.unique()
+            ),
+            "—",
+        ));
     }
 }
 
@@ -81,97 +98,44 @@ impl CampaignReport {
                 cfg.days
             ),
         );
-        let mut union = DayTruth::default();
-        for outcome in &outcomes {
-            let last = outcome.day_truths.len().saturating_sub(1);
-            for (i, truth) in outcome.day_truths.iter().enumerate() {
-                if outcome.spec.kind != crate::campaign::RoundKind::UniqueIps {
-                    continue;
-                }
-                let day = day_label(&truth.days, &outcome.spec.id, &mut anomalies);
-                let fresh = truth.new_vs(&union);
-                union = union.merge(truth.clone());
-                let measured = if i == last {
-                    outcome
-                        .estimate
-                        .as_ref()
-                        .map(|e| format!("{} ({})", fmt_estimate(e), outcome.spec.id))
-                        .unwrap_or_else(|| "—".into())
-                } else {
-                    "—".into()
-                };
-                cumulative.row(ReportRow::new(
-                    format!("day {day} [{}]", outcome.spec.id),
-                    measured,
-                    format!(
-                        "pool {}, fresh {}, cumulative {}",
-                        truth.unique(),
-                        fresh,
-                        union.unique()
-                    ),
-                    "—",
-                ));
-            }
+        // Per-day truths merge associatively into one running cross-day
+        // union per statistic, one cumulative row per measured day; a
+        // client-IP round's last row carries its headline estimate.
+        let mut ips = DistinctTruth::default();
+        let mut slds = DistinctTruth::default();
+        let mut onions = DistinctTruth::default();
+        for o in &outcomes {
+            let id = &o.spec.id;
+            let headline = o
+                .estimate
+                .as_ref()
+                .map(|e| format!("{} ({id})", fmt_estimate(e)));
+            let (cum, anom) = (&mut cumulative, &mut anomalies);
+            let (ip_days, sld_days, onion_days) =
+                (&o.day_truths, &o.domain_truths, &o.onion_truths);
+            cumulative_rows(cum, anom, id, &mut ips, ip_days, "", headline.as_deref());
+            cumulative_rows(cum, anom, id, &mut slds, sld_days, ": SLDs", None);
+            cumulative_rows(cum, anom, id, &mut onions, onion_days, ": onions", None);
         }
         cumulative.note(format!(
             "campaign union: {} distinct IPs over {} measured day(s), scale {}, seed {}",
-            union.unique(),
-            union.days.len(),
+            ips.unique(),
+            ips.days.len(),
             cfg.scale,
             cfg.seed
         ));
-
-        // Exit-domain and onion-service windows fold the same way:
-        // per-day truths merge associatively into running cross-day
-        // unions, one cumulative row per measured day.
-        let mut sld_union = DomainDayTruth::default();
-        let mut onion_union = OnionDayTruth::default();
-        {
-            let mut union_row = |label: String, pool: u64, fresh: u64, total: u64| {
-                cumulative.row(ReportRow::new(
-                    label,
-                    "—",
-                    format!("pool {pool}, fresh {fresh}, cumulative {total}"),
-                    "—",
-                ));
-            };
-            for outcome in &outcomes {
-                for truth in &outcome.domain_truths {
-                    let day = day_label(&truth.days, &outcome.spec.id, &mut anomalies);
-                    let fresh = truth.new_vs(&sld_union);
-                    sld_union = sld_union.merge(truth.clone());
-                    union_row(
-                        format!("day {day} [{}]: SLDs", outcome.spec.id),
-                        truth.unique(),
-                        fresh,
-                        sld_union.unique(),
-                    );
-                }
-                for truth in &outcome.onion_truths {
-                    let day = day_label(&truth.days, &outcome.spec.id, &mut anomalies);
-                    let fresh = truth.new_vs(&onion_union);
-                    onion_union = onion_union.merge(truth.clone());
-                    union_row(
-                        format!("day {day} [{}]: onions", outcome.spec.id),
-                        truth.unique(),
-                        fresh,
-                        onion_union.unique(),
-                    );
-                }
-            }
-        }
-        if !sld_union.days.is_empty() {
+        if !slds.days.is_empty() {
             cumulative.note(format!(
                 "campaign SLD union: {} distinct SLDs over {} measured day(s)",
-                sld_union.unique(),
-                sld_union.days.len()
+                slds.unique(),
+                slds.days.len()
             ));
         }
-        if !onion_union.days.is_empty() {
+        if !onions.days.is_empty() {
             cumulative.note(format!(
                 "campaign onion union: {} distinct published addresses over {} measured day(s)",
-                onion_union.unique(),
-                onion_union.days.len()
+                onions.unique(),
+                onions.days.len()
             ));
         }
 
@@ -377,44 +341,45 @@ mod tests {
     use crate::campaign::{RoundKind, RoundSpec};
     use pm_stats::{Estimate, Interval};
     use torsim::ids::IpAddr;
+    use torsim::timeline::ExitTally;
 
-    fn truth(day: u64, ips: &[u32]) -> DayTruth {
-        let mut t = DayTruth::default();
+    fn truth(day: u64, ips: &[u32]) -> DistinctTruth<IpAddr> {
+        let mut t = DistinctTruth::default();
         t.days.insert(day);
-        t.ips.extend(ips.iter().map(|i| IpAddr(*i)));
+        t.items.extend(ips.iter().map(|i| IpAddr(*i)));
         t
     }
 
-    fn outcome(id: &str, stat: &str, days: Vec<DayTruth>, est: Estimate) -> RoundOutcome {
+    fn outcome(
+        id: &str,
+        stat: &str,
+        days: Vec<DistinctTruth<IpAddr>>,
+        est: Estimate,
+    ) -> RoundOutcome {
+        let spec = RoundSpec {
+            id: id.into(),
+            statistic: stat.into(),
+            kind: RoundKind::UniqueIps,
+            start_day: days
+                .first()
+                .and_then(|t| t.days.first().copied())
+                .unwrap_or(0),
+            duration_days: days.len().max(1) as u64,
+        };
+        let report = Report::new(id, "test");
         RoundOutcome {
-            spec: RoundSpec {
-                id: id.into(),
-                statistic: stat.into(),
-                kind: RoundKind::UniqueIps,
-                start_day: days
-                    .first()
-                    .and_then(|t| t.days.first().copied())
-                    .unwrap_or(0),
-                duration_days: days.len().max(1) as u64,
-            },
-            report: Report::new(id, "test"),
             day_truths: days,
-            domain_truths: Vec::new(),
-            onion_truths: Vec::new(),
             estimate: Some(est),
-            network_estimate: None,
-            reconcile_estimate: None,
-            status: RoundStatus::Completed,
-            anomalies: Vec::new(),
+            ..RoundOutcome::new(&spec, report, RoundStatus::Completed, Vec::new())
         }
     }
 
-    fn domain_truth(day: u64, slds: &[&str]) -> DomainDayTruth {
-        let mut t = DomainDayTruth::default();
+    fn domain_truth(day: u64, slds: &[&str]) -> DistinctTruth<String, ExitTally> {
+        let mut t = DistinctTruth::<String, ExitTally>::default();
         t.days.insert(day);
-        t.slds.extend(slds.iter().map(|s| s.to_string()));
-        t.streams = 10 * slds.len() as u64;
-        t.initial_streams = slds.len() as u64;
+        t.items.extend(slds.iter().map(|s| s.to_string()));
+        t.tally.streams = 10 * slds.len() as u64;
+        t.tally.initial_streams = slds.len() as u64;
         t
     }
 
@@ -604,8 +569,8 @@ mod tests {
     #[test]
     fn dayless_truth_is_flagged_not_misattributed_to_day_zero() {
         let cfg = CampaignConfig::new(7, 1e-3, 1);
-        let mut t = DayTruth::default();
-        t.ips.insert(IpAddr(9)); // no day attribution at all
+        let mut t = DistinctTruth::default();
+        t.items.insert(IpAddr(9)); // no day attribution at all
         let report = CampaignReport::assemble(
             &cfg,
             vec![outcome(

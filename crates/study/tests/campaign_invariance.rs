@@ -14,6 +14,7 @@
 use pm_stats::union::{multi_day_network_estimate, DayShare};
 use pm_study::{Campaign, CampaignConfig, RoundKind};
 use torsim::relay::Position;
+use torsim::timeline::DistinctTruth;
 
 #[test]
 fn four_day_round_measures_the_churned_union_within_ci() {
@@ -33,7 +34,7 @@ fn four_day_round_measures_the_churned_union_within_ci() {
         .day_truths
         .iter()
         .cloned()
-        .fold(torsim::timeline::DayTruth::default(), |acc, t| acc.merge(t));
+        .fold(DistinctTruth::default(), |acc, t| acc.merge(t));
     let day0 = churn.day_truths[0].unique();
     assert!(union.unique() > day0, "churn must add fresh IPs");
     assert!(
@@ -83,9 +84,7 @@ fn exit_domain_round_measures_union_and_extrapolates_per_day() {
         .domain_truths
         .iter()
         .cloned()
-        .fold(torsim::timeline::DomainDayTruth::default(), |acc, t| {
-            acc.merge(t)
-        });
+        .fold(DistinctTruth::default(), |acc, t| acc.merge(t));
     assert!(union.unique() > 100, "union {}", union.unique());
     // Day 2 genuinely adds fresh SLDs on top of day 1.
     let fresh_day2 = domains.domain_truths[1].new_vs(&domains.domain_truths[0]);
@@ -149,7 +148,10 @@ fn exit_domain_round_measures_union_and_extrapolates_per_day() {
         .expect("onion round ran");
     assert_eq!(onions.onion_truths.len(), 2);
     assert!(
-        onions.onion_truths.iter().all(|t| t.rend_circuits > 100),
+        onions
+            .onion_truths
+            .iter()
+            .all(|t| t.tally.rend_circuits > 100),
         "rendezvous streams must be populated"
     );
     assert!(onions.estimate.is_some());

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::sampled::SampledSim;
     pub use crate::sites::{SiteList, SiteListConfig};
     pub use crate::stream::{EventStream, StreamSim};
-    pub use crate::timeline::{DaySnapshot, DayTruth, NetworkTimeline, TimelineConfig};
+    pub use crate::timeline::{DaySnapshot, DistinctTruth, NetworkTimeline, TimelineConfig};
     pub use crate::workload::{ClientTruth, ExitTruth, OnionTruth, Workload};
     pub use crate::DAY_SECS;
 }

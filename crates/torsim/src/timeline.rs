@@ -30,26 +30,25 @@
 //!   tail regenerates. [`NetworkTimeline::client_ip_day`] turns the
 //!   pool into a sharded, replay-memoized [`EventStream`] (the same
 //!   union-semantics contract as `StreamSim::client_ips`) **and** the
-//!   matching [`DayTruth`] from the identical pool, so the measured
-//!   statistic and its ground truth can never drift apart.
+//!   matching client-IP [`DistinctTruth`] from the identical pool, so
+//!   the measured statistic and its ground truth can never drift apart.
 //! * **Exit-domain & onion-service days** —
 //!   [`NetworkTimeline::exit_stream_day`] draws one day's exit streams
 //!   under that day's *drifted* mix and consensus exit fraction, and
 //!   [`NetworkTimeline::hs_stream_day`] draws the day's HSDir publish
 //!   and rendezvous streams under the day's HSDir/rendezvous
-//!   fractions. Both return the day's exact ground truth
-//!   ([`DomainDayTruth`] / [`OnionDayTruth`]) accumulated per shard
-//!   from a replica of the same deferred stream, under the
-//!   shard-invariance contract.
+//!   fractions. Both return the day's exact ground truth (distinct
+//!   SLDs with an [`ExitTally`], distinct published addresses with an
+//!   [`OnionTally`]) accumulated per shard from a replica of the same
+//!   deferred stream, under the shard-invariance contract.
 //!
-//! [`DayTruth`] values merge associatively ([`DayTruth::merge`] is a
-//! set union), so a multi-day campaign can fold per-day truths in any
-//! grouping — per round, per shard, sequential or parallel — and land
-//! on the same cross-day unique-IP union, with the stable core counted
-//! once however the days are grouped. [`DomainDayTruth`] and
-//! [`OnionDayTruth`] follow the same contract (set unions plus
-//! additive counts), so cross-day unique-SLD and unique-onion totals
-//! are grouping-independent too.
+//! Every day's ground truth is one [`DistinctTruth`]: a set of
+//! distinct items plus a field-wise-summed [`Tally`].
+//! [`DistinctTruth::merge`] is a set union plus count sums, so a
+//! multi-day campaign can fold per-day truths in any grouping — per
+//! round, per shard, sequential or parallel — and land on the same
+//! cross-day unique-IP, unique-SLD and unique-onion totals, with the
+//! stable core counted once however the days are grouped.
 //!
 //! ## Incremental consensus diffs
 //!
@@ -155,107 +154,93 @@ impl DaySnapshot {
     }
 }
 
-/// Ground truth for one or more days of observed client IPs. Values
-/// merge associatively (set union), so any grouping of days — or of
-/// shards within a day — folds to the same cross-day unique count.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DayTruth {
+/// Ground truth for one or more days of a distinct-item statistic:
+/// the distinct items observed (client IPs, second-level domains,
+/// published onion addresses) plus a per-kind tally of event counts.
+/// Values merge associatively — a set union plus field-wise count sums
+/// ([`Tally`]) — so any grouping of days, or of shards within a day,
+/// folds to the same cross-day totals.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DistinctTruth<T, C = ()> {
     /// Days merged into this truth (for reporting).
     pub days: BTreeSet<u64>,
-    /// The observed IPs (union over the merged days).
-    pub ips: BTreeSet<IpAddr>,
+    /// The distinct observed items (union over the merged days).
+    pub items: BTreeSet<T>,
+    /// Event counts, summed over the merged days.
+    pub tally: C,
 }
 
-impl DayTruth {
-    /// Distinct observed IPs.
+impl<T, C: Default> Default for DistinctTruth<T, C> {
+    fn default() -> Self {
+        DistinctTruth {
+            days: BTreeSet::new(),
+            items: BTreeSet::new(),
+            tally: C::default(),
+        }
+    }
+}
+
+impl<T: Ord, C: Tally> DistinctTruth<T, C> {
+    /// Distinct observed items.
     pub fn unique(&self) -> u64 {
-        self.ips.len() as u64
+        self.items.len() as u64
     }
 
-    /// Associative, commutative union.
-    pub fn merge(mut self, other: DayTruth) -> DayTruth {
+    /// Associative, commutative merge (set unions, count sums).
+    pub fn merge(mut self, other: Self) -> Self {
         self.days.extend(other.days);
-        self.ips.extend(other.ips);
+        self.items.extend(other.items);
+        self.tally.add(other.tally);
         self
     }
 
-    /// IPs in `self` not present in `earlier` — a day's fresh
-    /// contribution to a running union.
-    pub fn new_vs(&self, earlier: &DayTruth) -> u64 {
-        self.ips.difference(&earlier.ips).count() as u64
+    /// Items in `self` not present in `earlier` — a day's fresh
+    /// contribution to a running cross-day union.
+    pub fn new_vs(&self, earlier: &Self) -> u64 {
+        self.items.difference(&earlier.items).count() as u64
     }
 }
 
-/// Ground truth for one or more days of observed exit-domain traffic.
-/// Like [`DayTruth`], values merge associatively — the SLD set is a
-/// union, the stream counts are sums — so per-shard and per-day truths
-/// fold to the same cross-day totals in any grouping.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DomainDayTruth {
-    /// Days merged into this truth (for reporting).
-    pub days: BTreeSet<u64>,
-    /// Distinct second-level domains of observed initial web streams.
-    pub slds: BTreeSet<String>,
+/// Event counts carried beside a [`DistinctTruth`]; merging sums them
+/// field-wise. Client-IP truths carry none (`()`).
+pub trait Tally: Default {
+    /// Adds `other`'s counts into `self`.
+    fn add(&mut self, other: Self);
+}
+
+impl Tally for () {
+    fn add(&mut self, _: ()) {}
+}
+
+/// Exit-traffic counts of a unique-SLD truth.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExitTally {
     /// Observed exit streams (initial + subsequent).
     pub streams: u64,
     /// Observed initial streams.
     pub initial_streams: u64,
 }
 
-impl DomainDayTruth {
-    /// Distinct observed SLDs.
-    pub fn unique(&self) -> u64 {
-        self.slds.len() as u64
-    }
-
-    /// Associative, commutative merge (set unions, count sums).
-    pub fn merge(mut self, other: DomainDayTruth) -> DomainDayTruth {
-        self.days.extend(other.days);
-        self.slds.extend(other.slds);
+impl Tally for ExitTally {
+    fn add(&mut self, other: ExitTally) {
         self.streams += other.streams;
         self.initial_streams += other.initial_streams;
-        self
-    }
-
-    /// SLDs in `self` not present in `earlier` — a day's fresh
-    /// contribution to a running cross-day union.
-    pub fn new_vs(&self, earlier: &DomainDayTruth) -> u64 {
-        self.slds.difference(&earlier.slds).count() as u64
     }
 }
 
-/// Ground truth for one or more days of observed onion-service
-/// activity. Merges associatively like [`DomainDayTruth`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct OnionDayTruth {
-    /// Days merged into this truth (for reporting).
-    pub days: BTreeSet<u64>,
-    /// Distinct onion addresses whose descriptors our HSDirs received.
-    pub published: BTreeSet<OnionAddr>,
+/// Onion-service counts of a published-address truth.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OnionTally {
     /// Observed descriptor-publish events.
     pub publishes: u64,
     /// Observed rendezvous circuits.
     pub rend_circuits: u64,
 }
 
-impl OnionDayTruth {
-    /// Distinct observed published addresses.
-    pub fn unique(&self) -> u64 {
-        self.published.len() as u64
-    }
-
-    /// Associative, commutative merge (set unions, count sums).
-    pub fn merge(mut self, other: OnionDayTruth) -> OnionDayTruth {
-        self.days.extend(other.days);
-        self.published.extend(other.published);
+impl Tally for OnionTally {
+    fn add(&mut self, other: OnionTally) {
         self.publishes += other.publishes;
         self.rend_circuits += other.rend_circuits;
-        self
-    }
-
-    /// Published addresses in `self` not present in `earlier`.
-    pub fn new_vs(&self, earlier: &OnionDayTruth) -> u64 {
-        self.published.difference(&earlier.published).count() as u64
     }
 }
 
@@ -365,7 +350,7 @@ impl NetworkTimeline {
         observe_prob: f64,
         shards: usize,
         relays: Vec<RelayId>,
-    ) -> (EventStream, DayTruth) {
+    ) -> (EventStream, DistinctTruth<IpAddr>) {
         assert!(!relays.is_empty());
         let mut span = self.recorder.span("day.client_ips", "torsim");
         span.note("day", day);
@@ -373,9 +358,9 @@ impl NetworkTimeline {
         self.recorder.incr("torsim.days.generated");
         self.recorder
             .add("torsim.events.client_ip", pool.len() as u64);
-        let mut truth = DayTruth::default();
+        let mut truth = DistinctTruth::default();
         truth.days.insert(day);
-        truth.ips.extend(pool.iter().copied());
+        truth.items.extend(pool.iter().copied());
         let stream = replayed_stream(shards, move || {
             pool.iter()
                 .enumerate()
@@ -396,7 +381,7 @@ impl NetworkTimeline {
     /// `sample_ip` draws, so they can collide with selective
     /// churned-pool IPs (or, at small geo universes, with each other
     /// and among the churned slots). An undeduped pool emitted one
-    /// `EntryConnection` per *slot* while [`DayTruth`] set-dedupes its
+    /// `EntryConnection` per *slot* while the [`DistinctTruth`] set-dedupes its
     /// IPs — event counts and the unique-IP truth silently diverged
     /// (the same family as the PR 2 `unique_ips` overcount). A
     /// collision keeps its first slot: the IP stays observed, counted
@@ -441,7 +426,7 @@ impl NetworkTimeline {
         shards: usize,
         relays: Vec<RelayId>,
         copies: usize,
-    ) -> (Vec<EventStream>, DomainDayTruth) {
+    ) -> (Vec<EventStream>, DistinctTruth<String, ExitTally>) {
         assert!(copies >= 1);
         let mut span = self.recorder.span("day.exit_streams", "torsim");
         span.note("day", snap.day);
@@ -461,29 +446,29 @@ impl NetworkTimeline {
         // stream: folded per shard, merged associatively.
         let replica = sim.exit_streams(&truth_cfg, fraction, scale, false, shards, "exit");
         let parts = replica.fold_parallel(
-            |_| DomainDayTruth::default(),
+            |_| DistinctTruth::<String, ExitTally>::default(),
             |acc, ev| {
                 if let TorEvent::ExitStream {
                     initial, domain, ..
                 } = ev
                 {
-                    acc.streams += 1;
+                    acc.tally.streams += 1;
                     if initial {
-                        acc.initial_streams += 1;
+                        acc.tally.initial_streams += 1;
                     }
                     if let Some(d) = domain {
-                        acc.slds.insert(sites.sld(d));
+                        acc.items.insert(sites.sld(d));
                     }
                 }
             },
         );
         let mut truth = parts
             .into_iter()
-            .fold(DomainDayTruth::default(), DomainDayTruth::merge);
+            .fold(DistinctTruth::default(), DistinctTruth::merge);
         truth.days.insert(snap.day);
         self.recorder.incr("torsim.days.generated");
         self.recorder
-            .add("torsim.events.exit_stream", truth.streams);
+            .add("torsim.events.exit_stream", truth.tally.streams);
         (streams, truth)
     }
 
@@ -516,30 +501,30 @@ impl NetworkTimeline {
         );
         let publish = sim.hsdir_publishes(base, publish_observe, scale, shards, "publish");
         let rendezvous = sim.rendezvous(base, rend_fraction, scale, shards, "rend");
-        let mut truth = OnionDayTruth::default();
+        let mut truth = DistinctTruth::default();
         truth.days.insert(snap.day);
         for replica in [
             sim.hsdir_publishes(base, publish_observe, scale, shards, "publish"),
             sim.rendezvous(base, rend_fraction, scale, shards, "rend"),
         ] {
             let parts = replica.fold_parallel(
-                |_| OnionDayTruth::default(),
+                |_| DistinctTruth::<OnionAddr, OnionTally>::default(),
                 |acc, ev| match ev {
                     TorEvent::HsDescPublish { addr, .. } => {
-                        acc.publishes += 1;
-                        acc.published.insert(addr);
+                        acc.tally.publishes += 1;
+                        acc.items.insert(addr);
                     }
-                    TorEvent::RendCircuit { .. } => acc.rend_circuits += 1,
+                    TorEvent::RendCircuit { .. } => acc.tally.rend_circuits += 1,
                     _ => {}
                 },
             );
-            truth = parts.into_iter().fold(truth, OnionDayTruth::merge);
+            truth = parts.into_iter().fold(truth, DistinctTruth::merge);
         }
         self.recorder.incr("torsim.days.generated");
         self.recorder
-            .add("torsim.events.hs_publish", truth.publishes);
+            .add("torsim.events.hs_publish", truth.tally.publishes);
         self.recorder
-            .add("torsim.events.rend_circuit", truth.rend_circuits);
+            .add("torsim.events.rend_circuit", truth.tally.rend_circuits);
         HsDay {
             publish,
             rendezvous,
@@ -561,7 +546,7 @@ pub struct HsDay {
     /// Rendezvous-circuit stream.
     pub rendezvous: EventStream,
     /// The day's exact ground truth.
-    pub truth: OnionDayTruth,
+    pub truth: DistinctTruth<OnionAddr, OnionTally>,
     /// Address-level publish observe probability (`1 − (1−w)²` over the
     /// day's HSDir fraction) the publish stream was thinned at.
     pub publish_observe: f64,
@@ -777,7 +762,7 @@ mod tests {
                 seen.insert(client_ip);
             }
         });
-        assert_eq!(seen, truth.ips);
+        assert_eq!(seen, truth.items);
         assert!(truth.unique() > 100, "{}", truth.unique());
     }
 
@@ -788,7 +773,7 @@ mod tests {
         // promiscuous draws *must* collide (pigeonhole), then check the
         // stream emits exactly one event per distinct IP — before the
         // pool dedupe it emitted one per slot, overcounting every
-        // statistic derived from event counts while `DayTruth.ips`
+        // statistic derived from event counts while `DistinctTruth.items`
         // (a set) stayed correct.
         let geo = Arc::new(GeoDb::confined(
             &[(crate::ids::CountryCode::new("AA"), 1.0)],
@@ -817,7 +802,7 @@ mod tests {
                 truth.unique(),
                 "day {day}: one event per distinct IP, not per slot"
             );
-            assert_eq!(seen, truth.ips, "day {day}: stream and truth agree");
+            assert_eq!(seen, truth.items, "day {day}: stream and truth agree");
         }
     }
 
@@ -947,14 +932,14 @@ mod tests {
                 }
             });
             events.sort();
-            assert_eq!(total, truth.streams);
-            assert_eq!(initial, truth.initial_streams);
-            assert_eq!(slds, truth.slds);
+            assert_eq!(total, truth.tally.streams);
+            assert_eq!(initial, truth.tally.initial_streams);
+            assert_eq!(slds, truth.items);
             fingerprints.push(events);
         }
         assert_eq!(fingerprints[0], fingerprints[1], "copies must be identical");
         assert!(truth.unique() > 50, "{}", truth.unique());
-        assert!(truth.streams > truth.initial_streams);
+        assert!(truth.tally.streams > truth.tally.initial_streams);
         // Shard-count invariance of both events and truth.
         for k in [1, 16] {
             let (streams_k, truth_k) = t.exit_stream_day(
@@ -977,7 +962,7 @@ mod tests {
         // A different day samples a different drifted mix and fraction.
         let snap9 = t.snapshot(9);
         let (_, truth9) = t.exit_stream_day(&snap9, &sites, &exit, 1e-4, 4, vec![RelayId(0)], 1);
-        assert_ne!(truth9.slds, truth.slds);
+        assert_ne!(truth9.items, truth.items);
     }
 
     #[test]
@@ -1002,11 +987,15 @@ mod tests {
                 rends += 1;
             }
         });
-        assert_eq!(published, truth.published);
-        assert_eq!(publishes, truth.publishes);
-        assert_eq!(rends, truth.rend_circuits);
+        assert_eq!(published, truth.items);
+        assert_eq!(publishes, truth.tally.publishes);
+        assert_eq!(rends, truth.tally.rend_circuits);
         assert!(truth.unique() > 0, "observed no published addresses");
-        assert!(truth.rend_circuits > 100, "{}", truth.rend_circuits);
+        assert!(
+            truth.tally.rend_circuits > 100,
+            "{}",
+            truth.tally.rend_circuits
+        );
         assert_eq!(truth.days, BTreeSet::from([3]));
         // The thinning parameters travel with the streams and match the
         // snapshot they were derived from.
@@ -1041,7 +1030,10 @@ mod tests {
         let left = a.clone().merge(b.clone()).merge(c.clone());
         let right = a.clone().merge(b.clone().merge(c.clone()));
         assert_eq!(left, right);
-        assert_eq!(left.streams, a.streams + b.streams + c.streams);
+        assert_eq!(
+            left.tally.streams,
+            a.tally.streams + b.tally.streams + c.tally.streams
+        );
         // Popular SLDs recur across days: the union is below the sum.
         assert!(left.unique() < a.unique() + b.unique() + c.unique());
         assert!(left.unique() >= a.unique());

@@ -3,8 +3,7 @@
 //!
 //! This root crate re-exports the workspace members and hosts the
 //! runnable examples (`examples/`) and cross-crate integration tests
-//! (`tests/`). See `README.md` for a tour and `DESIGN.md` for the system
-//! inventory.
+//! (`tests/`). See `DESIGN.md` for the system inventory.
 //!
 //! ## Determinism contract
 //!
@@ -12,7 +11,7 @@
 //! campaign reports — must be a pure function of the configured seed.
 //! That contract is machine-checked by `pm-lint` (`crates/lint`), a
 //! dependency-free static-analysis pass that CI runs via `make lint`
-//! (part of `make verify`). Its five rules:
+//! (part of `make verify`). Its six rules:
 //!
 //! 1. **entropy** — ambient randomness and wall-clock reads
 //!    (`thread_rng`, `from_entropy`, `SystemTime::now`, `Instant::now`)
@@ -37,6 +36,10 @@
 //!    `net`) may write metrics but never read them (`read_snapshot`,
 //!    `read_counter`): a readback would let observability feed back
 //!    into transcripts.
+//! 6. **raw-socket** — `std::net`, `TcpListener`, `TcpStream` and
+//!    `UdpSocket` are forbidden everywhere, tests included. One
+//!    structural sanction: `crates/net/src/wire.rs`, the wire fabric
+//!    backend, is the only place a protocol byte may leave the process.
 //!
 //! Intentional exceptions are annotated in place as
 //! `// lint:allow(<rule>) <reason>` on the offending line or the line

@@ -7,7 +7,7 @@ mod common;
 
 use tor_measure::study::{Campaign, CampaignConfig, CampaignReport, RoundKind};
 use torsim::relay::Position;
-use torsim::timeline::DayTruth;
+use torsim::timeline::DistinctTruth;
 
 #[test]
 fn seven_day_campaign_end_to_end() {
@@ -27,6 +27,19 @@ fn seven_day_campaign_end_to_end() {
     let outcomes = campaign.run_rounds(2);
     assert_eq!(outcomes.len(), 3);
 
+    // The sweep leaned on the timeline cursor's checkpoint/restore
+    // path: random access back to the epoch must match the replay oracle.
+    let restored = campaign.timeline().snapshot(0);
+    let oracle = campaign.timeline().snapshot_replay(0);
+    assert_eq!(restored.day, oracle.day);
+    assert_eq!(restored.joined, oracle.joined);
+    assert_eq!(restored.left, oracle.left);
+    assert_eq!(
+        restored.consensus.relays().len(),
+        oracle.consensus.relays().len(),
+        "checkpoint restore diverged from the replay oracle"
+    );
+
     // The churn round measured four genuinely churned populations and
     // its estimate tracks the exact cross-day union.
     let churn = outcomes
@@ -37,7 +50,7 @@ fn seven_day_campaign_end_to_end() {
         .day_truths
         .iter()
         .cloned()
-        .fold(DayTruth::default(), |acc, t| acc.merge(t));
+        .fold(DistinctTruth::default(), |acc, t| acc.merge(t));
     let day0 = churn.day_truths[0].unique();
     assert!(union.unique() > day0 && union.unique() < 4 * day0);
     let est = churn.estimate.as_ref().unwrap();
@@ -84,9 +97,7 @@ fn full_calendar_runs_exit_domain_and_onion_rounds() {
         .domain_truths
         .iter()
         .cloned()
-        .fold(torsim::timeline::DomainDayTruth::default(), |acc, t| {
-            acc.merge(t)
-        });
+        .fold(DistinctTruth::default(), |acc, t| acc.merge(t));
     assert!(union.unique() > 50, "union {}", union.unique());
     let est = domains.estimate.as_ref().unwrap();
     let slack = 0.02 * union.unique() as f64;
@@ -103,7 +114,10 @@ fn full_calendar_runs_exit_domain_and_onion_rounds() {
         .find(|o| o.spec.kind == RoundKind::OnionServices)
         .expect("onion round ran");
     assert_eq!(onions.onion_truths.len(), 2);
-    assert!(onions.onion_truths.iter().all(|t| t.rend_circuits > 0));
+    assert!(onions
+        .onion_truths
+        .iter()
+        .all(|t| t.tally.rend_circuits > 0));
 
     // Aggregation renders the domain/onion cumulative rows and notes.
     let report = CampaignReport::assemble(&cfg, outcomes);

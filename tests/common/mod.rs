@@ -1,15 +1,12 @@
-//! Shared golden-snapshot check for the integration tests.
-//!
-//! A golden file under `tests/golden/` pins rendered output down to
-//! the formatted digit, so refactors provably preserve it. To
-//! regenerate after an *intentional* output change, run the owning
-//! test with `UPDATE_GOLDEN=1` (or `make golden` for all of them) and
-//! commit the updated snapshot with a note explaining what moved.
+//! Golden snapshots shared by the integration tests: a file under
+//! `tests/golden/` pins rendered output down to the formatted digit.
+//! After an *intentional* output change, regenerate with
+//! `UPDATE_GOLDEN=1` on the owning test (`make golden` does all of
+//! them) and commit the snapshot with a note explaining what moved.
 
-/// Compares `got` against the committed snapshot at `rel_path`
-/// (relative to the crate root), or rewrites the snapshot when
-/// `UPDATE_GOLDEN` is set. A mismatch panics naming the first
-/// diverging line.
+/// Compares `got` with the snapshot at `rel_path` (relative to the
+/// crate root), or rewrites it when `UPDATE_GOLDEN` is set. A mismatch
+/// panics naming the first diverging line.
 pub fn assert_golden(rel_path: &str, got: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel_path);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -18,21 +15,21 @@ pub fn assert_golden(rel_path: &str, got: &str) {
     }
     let want = std::fs::read_to_string(&path)
         .expect("missing golden snapshot; run with UPDATE_GOLDEN=1 to create it");
-    if want != got {
-        // Locate the first diverging line for a readable failure (a
-        // missing or extra trailing line counts as the divergence).
-        let (want_lines, got_lines): (Vec<_>, Vec<_>) =
-            (want.lines().collect(), got.lines().collect());
-        let line = (0..want_lines.len().max(got_lines.len()))
-            .find(|&i| want_lines.get(i) != got_lines.get(i))
-            .unwrap_or(0);
-        panic!(
-            "golden snapshot mismatch at {rel_path}:{}\n  \
-             want: {}\n  got:  {}\n\
-             (if the change is intentional, regenerate with UPDATE_GOLDEN=1)",
-            line + 1,
-            want_lines.get(line).unwrap_or(&"<end of file>"),
-            got_lines.get(line).unwrap_or(&"<end of file>"),
-        );
+    if want == got {
+        return;
     }
+    // The first diverging line; a missing or extra trailing line (or
+    // final newline) counts as the divergence.
+    let (want, got): (Vec<_>, Vec<_>) = (want.lines().collect(), got.lines().collect());
+    let i = (0..want.len().max(got.len()))
+        .find(|&i| want.get(i) != got.get(i))
+        .unwrap_or(want.len());
+    let line = |l: &[&str]| l.get(i).copied().unwrap_or("<end of file>").to_string();
+    panic!(
+        "golden snapshot mismatch at {rel_path}:{}\n  want: {}\n  got:  {}\n\
+         (if the change is intentional, regenerate with UPDATE_GOLDEN=1)",
+        i + 1,
+        line(&want),
+        line(&got),
+    );
 }
