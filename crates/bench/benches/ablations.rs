@@ -10,14 +10,15 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use privcount::counter::CounterSpec;
-use privcount::round::{run_round, NoiseAllocation, RoundConfig};
+use privcount::round::{run_round_streams, NoiseAllocation, RoundConfig};
 use psc::items;
-use psc::round::{run_psc_round, PscConfig};
+use psc::round::{run_psc_round_streams, PscConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use torsim::events::TorEvent;
 use torsim::ids::{IpAddr, RelayId};
+use torsim::stream::EventStream;
 
 fn events(n: u32) -> Vec<TorEvent> {
     (0..n)
@@ -44,16 +45,8 @@ fn ablate_psc_verification(c: &mut Criterion) {
                     faults: Default::default(),
                     ..Default::default()
                 };
-                let gens = vec![{
-                    let evs = events(50);
-                    let g: psc::dc::EventGenerator = Box::new(move |sink| {
-                        for ev in evs {
-                            sink(ev);
-                        }
-                    });
-                    g
-                }];
-                run_psc_round(cfg, items::unique_client_ips(), gens).unwrap()
+                let streams = vec![EventStream::from_events(events(50), 1)];
+                run_psc_round_streams(cfg, items::unique_client_ips(), streams).unwrap()
             });
         });
     }
@@ -85,18 +78,10 @@ fn ablate_noise_allocation(c: &mut Criterion) {
                     adversary: Default::default(),
                     recorder: Default::default(),
                 };
-                let gens = (0..4)
-                    .map(|_| {
-                        let evs = events(500);
-                        let g: privcount::dc::EventGenerator = Box::new(move |sink| {
-                            for ev in evs {
-                                sink(ev);
-                            }
-                        });
-                        g
-                    })
+                let streams = (0..4)
+                    .map(|_| EventStream::from_events(events(500), 1))
                     .collect();
-                run_round(cfg, gens).unwrap()
+                run_round_streams(cfg, streams).unwrap()
             });
         });
     }

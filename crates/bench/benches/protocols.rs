@@ -3,14 +3,15 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use privcount::counter::CounterSpec;
-use privcount::round::{run_round, NoiseAllocation, RoundConfig};
+use privcount::round::{run_round_streams, NoiseAllocation, RoundConfig};
 use psc::items;
-use psc::round::{run_psc_round, PscConfig};
+use psc::round::{run_psc_round_streams, PscConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use torsim::events::TorEvent;
 use torsim::ids::{IpAddr, RelayId};
+use torsim::stream::EventStream;
 
 fn events(n: u32) -> Vec<TorEvent> {
     (0..n)
@@ -44,18 +45,10 @@ fn bench_privcount_round(c: &mut Criterion) {
                     adversary: Default::default(),
                     recorder: Default::default(),
                 };
-                let generators = (0..3)
-                    .map(|_| {
-                        let evs = events(n_events / 3);
-                        let g: privcount::dc::EventGenerator = Box::new(move |sink| {
-                            for ev in evs {
-                                sink(ev);
-                            }
-                        });
-                        g
-                    })
+                let streams = (0..3)
+                    .map(|_| EventStream::from_events(events(n_events / 3), 1))
                     .collect();
-                run_round(cfg, generators).unwrap()
+                run_round_streams(cfg, streams).unwrap()
             });
         });
     }
@@ -99,16 +92,8 @@ fn bench_psc_round(c: &mut Criterion) {
                     faults: Default::default(),
                     ..Default::default()
                 };
-                let generators = vec![{
-                    let evs = events(100);
-                    let g: psc::dc::EventGenerator = Box::new(move |sink| {
-                        for ev in evs {
-                            sink(ev);
-                        }
-                    });
-                    g
-                }];
-                run_psc_round(cfg, items::unique_client_ips(), generators).unwrap()
+                let streams = vec![EventStream::from_events(events(100), 1)];
+                run_psc_round_streams(cfg, items::unique_client_ips(), streams).unwrap()
             });
         });
     }

@@ -11,11 +11,12 @@
 //! signal-to-noise ratio while running in seconds. `--json PATH`
 //! writes the machine-readable document (same schema as the
 //! `campaign` binary's) alongside whatever goes to stdout; `--list`
-//! prints the registry without running anything, and an `--only` id
-//! the registry does not hold exits 2 naming it. `--trace PATH`
+//! prints the registry without running anything. `--trace PATH`
 //! enables the wall-clock profiling plane and writes a
 //! chrome://tracing trace-event file; `-q` silences progress events,
-//! `-v` prints them with structured fields.
+//! `-v` prints them with structured fields. A usage error (an unknown
+//! flag or `--only` id, or a missing, unparsable or out-of-range
+//! value) prints one line naming it and exits 2.
 //!
 //! `--fabric BACKEND` selects the transport carrying every protocol
 //! frame: `per-link` (default), `single-lock`, or
@@ -24,6 +25,7 @@
 
 use pm_net::FabricChoice;
 use pm_obs::{Event, Recorder, Sink, Verbosity};
+use torstudy::cli::{usage_error, Args};
 use torstudy::report::reports_json;
 use torstudy::runner::{registry, run_all, run_some};
 use torstudy::Deployment;
@@ -39,42 +41,35 @@ fn main() {
     let mut verbosity = Verbosity::Normal;
     let mut list = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::from_env();
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
             "--scale" => {
-                i += 1;
-                scale = args[i].parse().expect("--scale takes a float in (0, 1]");
+                scale = args.parsed("--scale", "a float in (0, 1]", |s| {
+                    Deployment::valid_scale(*s)
+                })
             }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed takes an integer");
-            }
+            "--seed" => seed = args.parsed("--seed", "an integer ≥ 0", |_| true),
             "--only" => {
-                i += 1;
-                only = Some(args[i].split(',').map(|s| s.trim().to_string()).collect());
+                only = Some(
+                    args.value("--only")
+                        .split(',')
+                        .map(|s| s.trim().to_string())
+                        .collect(),
+                )
             }
             "--fabric" => {
-                i += 1;
-                fabric = FabricChoice::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown fabric '{}'; known: per-link, single-lock, \
-                         wire[:latency_ms[,bw_kbps]]",
-                        args[i]
-                    );
-                    std::process::exit(2);
+                let name = args.value("--fabric");
+                fabric = FabricChoice::parse(&name).unwrap_or_else(|| {
+                    usage_error(format!(
+                        "unknown fabric '{name}'; known: per-link, single-lock, \
+                         wire[:latency_ms[,bw_kbps]]"
+                    ))
                 });
             }
             "--csv" => csv = true,
-            "--json" => {
-                i += 1;
-                json = Some(args[i].clone());
-            }
-            "--trace" => {
-                i += 1;
-                trace = Some(args[i].clone());
-            }
+            "--json" => json = Some(args.value("--json")),
+            "--trace" => trace = Some(args.value("--trace")),
             "-q" | "--quiet" => verbosity = Verbosity::Quiet,
             "-v" | "--verbose" => verbosity = Verbosity::Verbose,
             "--list" => list = true,
@@ -86,12 +81,8 @@ fn main() {
                 );
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown argument: {other}")),
         }
-        i += 1;
     }
 
     if let Some(ids) = &only {
@@ -102,12 +93,11 @@ fn main() {
             .filter(|id| !known.contains(id))
             .collect();
         if !unknown.is_empty() {
-            eprintln!(
+            usage_error(format!(
                 "unknown experiment id(s) {}; known: {}",
                 unknown.join(", "),
                 known.join(", ")
-            );
-            std::process::exit(2);
+            ));
         }
     }
 
@@ -153,13 +143,17 @@ fn main() {
         }
     }
     if let Some(path) = json {
-        std::fs::write(&path, reports_json(&reports)).expect("write --json output");
+        if let Err(err) = std::fs::write(&path, reports_json(&reports)) {
+            eprintln!("cannot write --json output {path}: {err}");
+            std::process::exit(1);
+        }
         sink.emit(&Event::new("wrote", format!("wrote {path}")).field("path", &path));
     }
     if let Some(path) = trace {
-        recorder
-            .write_trace(std::path::Path::new(&path))
-            .expect("write --trace output");
+        if let Err(err) = recorder.write_trace(std::path::Path::new(&path)) {
+            eprintln!("cannot write --trace output {path}: {err}");
+            std::process::exit(1);
+        }
         sink.emit(&Event::new("trace", format!("wrote trace {path}")).field("path", &path));
     }
     sink.emit(

@@ -140,10 +140,18 @@ const _: fn() = || {
 };
 
 impl Deployment {
+    /// Whether `scale` is a deployment scale: a float in (0, 1].
+    pub fn valid_scale(scale: f64) -> bool {
+        scale > 0.0 && scale <= 1.0
+    }
+
     /// Builds a deployment at the given scale. Scale 1.0 is paper scale
     /// (2×10⁹ daily streams); tests typically use 1e-3.
     pub fn at_scale(scale: f64, seed: u64) -> Deployment {
-        assert!(scale > 0.0 && scale <= 1.0);
+        assert!(
+            Deployment::valid_scale(scale),
+            "scale {scale} not in (0, 1]"
+        );
         // The site universe shrinks with scale but keeps all family head
         // ranks (≥ 11k Alexa entries).
         let alexa = ((1_000_000f64 * scale) as u64).max(20_000);

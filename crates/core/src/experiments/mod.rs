@@ -1,6 +1,6 @@
 //! One module per reproduced table/figure.
 //!
-//! Every experiment follows the same shape: build the event generators
+//! Every experiment follows the same shape: build the sharded event streams
 //! from the deployment's ground truth and the measurement date's weight
 //! fraction, run the real PrivCount or PSC protocol, apply §3.3's
 //! inference, and emit a [`crate::report::Report`] comparing measured,

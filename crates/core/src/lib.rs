@@ -16,7 +16,9 @@
 //! signal-to-noise ratio. Linear statistics (counts, bytes) are
 //! rescaled back for the paper comparison; unique counts are compared
 //! at scale against the simulator's ground truth, with the paper values
-//! shown for shape (EXPERIMENTS.md discusses each case).
+//! shown for shape: each report's truth and paper columns sit beside
+//! the measured value, and DESIGN.md §4 describes the synthetic
+//! workload behind the truth.
 //!
 //! # Parallel execution model
 //!
@@ -51,6 +53,7 @@
 //! [`Accountant`]: pm_dp::accountant::Accountant
 //! [`Deployment::shards`]: deployment::Deployment::shards
 
+pub mod cli;
 pub mod deployment;
 pub mod experiments;
 pub mod report;

@@ -511,7 +511,7 @@ pub(crate) trait RecvPort: Send {
 
 /// Which [`Fabric`] backend a round should run over. `Copy`, so round
 /// configurations stay cheap to clone and rebuild; the fabric itself
-/// is constructed at round start via [`FabricChoice::build_obs`].
+/// is constructed at round start via [`FabricChoice::build`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FabricChoice {
     /// The default in-process switchboard: per-link mailboxes.
@@ -528,14 +528,9 @@ pub enum FabricChoice {
 }
 
 impl FabricChoice {
-    /// Builds the chosen backend with a detached recorder.
-    pub fn build(self, faults: FaultConfig) -> Arc<dyn Fabric> {
-        self.build_obs(faults, Recorder::new())
-    }
-
     /// Builds the chosen backend, publishing its counters into
     /// `recorder` when the fabric is dropped.
-    pub fn build_obs(self, faults: FaultConfig, recorder: Recorder) -> Arc<dyn Fabric> {
+    pub fn build(self, faults: FaultConfig, recorder: Recorder) -> Arc<dyn Fabric> {
         match self {
             FabricChoice::PerLink => Arc::new(Switchboard::with_faults_obs(faults, recorder)),
             FabricChoice::SingleLock => {
@@ -1517,7 +1512,8 @@ mod tests {
     #[test]
     fn fabric_trait_object_round_trip() {
         // The trait surface alone suffices to run a delivery.
-        let board: Arc<dyn Fabric> = FabricChoice::PerLink.build(FaultConfig::none());
+        let board: Arc<dyn Fabric> =
+            FabricChoice::PerLink.build(FaultConfig::none(), Recorder::new());
         let a = board.register(PartyId::new("a"));
         let b = board.register(PartyId::new("b"));
         a.send(b.id(), frame(4, b"dyn")).unwrap();

@@ -94,26 +94,24 @@ impl Attack {
 mod tests {
     use super::*;
     use crate::counter::CounterSpec;
-    use crate::dc::EventGenerator;
-    use crate::round::{run_round, NoiseAllocation, RoundConfig};
+    use crate::round::{run_round_streams, NoiseAllocation, RoundConfig};
     use pm_net::transport::FaultConfig;
     use std::sync::Arc;
     use torsim::events::TorEvent;
     use torsim::ids::{IpAddr, RelayId};
+    use torsim::stream::EventStream;
 
-    fn generators(counts: &[u64]) -> Vec<EventGenerator> {
+    fn streams(counts: &[u64]) -> Vec<EventStream> {
         counts
             .iter()
             .map(|&n| {
-                let g: EventGenerator = Box::new(move |sink| {
-                    for i in 0..n {
-                        sink(TorEvent::EntryConnection {
-                            relay: RelayId(0),
-                            client_ip: IpAddr(i as u32),
-                        });
-                    }
-                });
-                g
+                let events = (0..n)
+                    .map(|i| TorEvent::EntryConnection {
+                        relay: RelayId(0),
+                        client_ip: IpAddr(i as u32),
+                    })
+                    .collect();
+                EventStream::from_events(events, 1)
             })
             .collect()
     }
@@ -139,11 +137,8 @@ mod tests {
 
     #[test]
     fn malformed_registers_detected_by_ts() {
-        let err = run_round(
-            cfg(Attack::MalformedRegisters { dc: 1 }),
-            generators(&[5, 7]),
-        )
-        .unwrap_err();
+        let err = run_round_streams(cfg(Attack::MalformedRegisters { dc: 1 }), streams(&[5, 7]))
+            .unwrap_err();
         assert_eq!(err.detected_by().map(|p| p.as_str()), Some("ts"));
         assert!(err.reason().contains("DC result length mismatch"), "{err}");
     }
@@ -151,7 +146,7 @@ mod tests {
     #[test]
     fn inflated_counts_skew_the_total_deterministically() {
         let run = |attack| {
-            run_round(cfg(attack), generators(&[5, 7]))
+            run_round_streams(cfg(attack), streams(&[5, 7]))
                 .unwrap()
                 .total("connections")
         };
@@ -164,12 +159,12 @@ mod tests {
 
     #[test]
     fn sk_death_is_caught_by_the_deadlock_detector() {
-        let err = run_round(
+        let err = run_round_streams(
             cfg(Attack::SkDeath {
                 sk: 0,
                 after_messages: 1,
             }),
-            generators(&[3]),
+            streams(&[3]),
         )
         .unwrap_err();
         assert!(err.detected_by().is_none(), "runner-level: {err}");
@@ -179,8 +174,8 @@ mod tests {
 
     #[test]
     fn bad_share_payload_is_rejected_by_the_sk() {
-        let err =
-            run_round(cfg(Attack::BadSharePayload { dc: 0 }), generators(&[3, 4])).unwrap_err();
+        let err = run_round_streams(cfg(Attack::BadSharePayload { dc: 0 }), streams(&[3, 4]))
+            .unwrap_err();
         assert_eq!(err.detected_by().map(|p| p.as_str()), Some("sk-0"));
         assert!(err.reason().contains("invalid length"), "{err}");
         assert!(err.reason().contains("dc-0"), "{err}");
@@ -190,18 +185,15 @@ mod tests {
     fn noise_exhaustion_refuses_to_configure() {
         let mut config = cfg(Attack::NoiseExhaustion { dc: 1, budget: 0 });
         config.counters.push(CounterSpec::with_sigma("bytes", 0.0));
-        let err = run_round(config, generators(&[3, 4])).unwrap_err();
+        let err = run_round_streams(config, streams(&[3, 4])).unwrap_err();
         assert_eq!(err.detected_by().map(|p| p.as_str()), Some("dc-1"));
         assert!(err.reason().contains("noise budget exhausted"), "{err}");
     }
 
     #[test]
     fn out_of_range_attack_index_is_inert() {
-        let result = run_round(
-            cfg(Attack::MalformedRegisters { dc: 9 }),
-            generators(&[5, 7]),
-        )
-        .unwrap();
+        let result =
+            run_round_streams(cfg(Attack::MalformedRegisters { dc: 9 }), streams(&[5, 7])).unwrap();
         assert_eq!(result.total("connections"), 12);
     }
 }

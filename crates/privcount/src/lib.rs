@@ -15,7 +15,9 @@
 //!    them via the TS (DCs need no SK connectivity, as in the real
 //!    deployment);
 //! 4. during collection the DC increments counters from observed Tor
-//!    events (here: a generator supplied by the experiment);
+//!    events (here: a sharded `torsim::stream::EventStream`, folded
+//!    shard-parallel and added to the registers once at merge — see
+//!    [`shard`]);
 //! 5. at round end DCs publish blinded registers, SKs publish share
 //!    sums, and the TS's addition telescopes the blinding away, leaving
 //!    `true count + noise`.
@@ -42,11 +44,11 @@ pub mod sk;
 pub mod ts;
 
 pub use counter::{CounterSpec, EventMapper, Schema};
-pub use round::{run_round, run_round_days, run_round_streams, RoundConfig, RoundResult};
+pub use round::{run_round_streams, RoundConfig, RoundResult};
 
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::counter::{CounterSpec, EventMapper, Schema};
     pub use crate::queries;
-    pub use crate::round::{run_round, run_round_streams, RoundConfig, RoundResult};
+    pub use crate::round::{run_round_streams, RoundConfig, RoundResult};
 }

@@ -4,7 +4,7 @@
 
 use crate::adversary::Attack;
 use crate::counter::{CounterSpec, EventMapper};
-use crate::dc::{DcNode, DcSource, EventGenerator};
+use crate::dc::DcNode;
 use crate::sk::SkNode;
 use crate::ts::{ResultSlot, TsNode};
 use parking_lot::Mutex;
@@ -12,6 +12,7 @@ use pm_net::party::{NodeError, Runner};
 use pm_net::transport::{FabricChoice, FaultConfig, PartyId};
 use pm_stats::ci::Estimate;
 use std::sync::Arc;
+use torsim::stream::EventStream;
 
 /// How DCs split the per-counter noise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,6 +29,7 @@ pub enum NoiseAllocation {
 }
 
 /// A PrivCount round configuration.
+#[derive(Clone)]
 pub struct RoundConfig {
     /// The counters to collect.
     pub counters: Vec<CounterSpec>,
@@ -103,75 +105,20 @@ impl RoundResult {
     }
 }
 
-/// Runs a full PrivCount round: one DC per entry of `dc_generators`.
-pub fn run_round(
-    cfg: RoundConfig,
-    dc_generators: Vec<EventGenerator>,
-) -> Result<RoundResult, NodeError> {
-    run_round_sources(
-        cfg,
-        dc_generators.into_iter().map(DcSource::Generator).collect(),
-    )
-}
-
-/// Runs a full PrivCount round with sharded streaming ingestion: one DC
-/// per stream, each folding its shards in parallel (see
+/// Runs a full PrivCount round: one DC per stream, each folding its
+/// shards in parallel and applying the totals once at merge (see
 /// [`crate::shard`]).
 pub fn run_round_streams(
     cfg: RoundConfig,
-    dc_streams: Vec<torsim::stream::EventStream>,
+    dc_streams: Vec<EventStream>,
 ) -> Result<RoundResult, NodeError> {
-    run_round_sources(cfg, dc_streams.into_iter().map(DcSource::Stream).collect())
-}
-
-/// Runs one PrivCount round per day of a campaign window (`pm-study`):
-/// `days[d]` holds day `d`'s per-DC streams, and day `d`'s round seeds
-/// derive from the base config as `derive_seed(seed, "privcount/day{d}")`
-/// (the label is namespaced so it can never alias the campaign layer's
-/// own `"day{d}"` deployment-seed stream), so the
-/// series is a pure function of `(config, calendar)` — the noise drawn
-/// on day `d` cannot depend on which days ran before it (or
-/// concurrently with it, under the parallel campaign executor).
-/// Returns one result per day, in calendar order.
-pub fn run_round_days(
-    cfg: RoundConfig,
-    days: Vec<Vec<torsim::stream::EventStream>>,
-) -> Result<Vec<RoundResult>, NodeError> {
-    assert!(!days.is_empty(), "need at least one day");
-    days.into_iter()
-        .enumerate()
-        .map(|(d, streams)| {
-            run_round_streams(
-                RoundConfig {
-                    counters: cfg.counters.clone(),
-                    mapper: cfg.mapper.clone(),
-                    num_sks: cfg.num_sks,
-                    noise: cfg.noise,
-                    seed: pm_stats::sampling::derive_seed(cfg.seed, &format!("privcount/day{d}")),
-                    threaded: cfg.threaded,
-                    faults: cfg.faults,
-                    fabric: cfg.fabric,
-                    adversary: cfg.adversary,
-                    recorder: cfg.recorder.clone(),
-                },
-                streams,
-            )
-        })
-        .collect()
-}
-
-/// Runs a full PrivCount round over arbitrary DC sources.
-pub fn run_round_sources(
-    cfg: RoundConfig,
-    dc_sources: Vec<DcSource>,
-) -> Result<RoundResult, NodeError> {
-    assert!(!dc_sources.is_empty(), "need at least one DC");
+    assert!(!dc_streams.is_empty(), "need at least one DC");
     assert!(cfg.num_sks >= 1, "need at least one SK");
     cfg.recorder.incr("privcount.rounds");
     let mut round_span = cfg.recorder.span("round.privcount", "round");
-    round_span.note("dcs", dc_sources.len());
+    round_span.note("dcs", dc_streams.len());
     round_span.note("sks", cfg.num_sks);
-    let num_dcs = dc_sources.len();
+    let num_dcs = dc_streams.len();
     if cfg.fabric.is_wire() && cfg.adversary.is_active() {
         return Err(NodeError::Protocol(
             "adversarial scenarios need the deterministic scheduler, which the \
@@ -179,7 +126,7 @@ pub fn run_round_sources(
                 .into(),
         ));
     }
-    let board = cfg.fabric.build_obs(cfg.faults, cfg.recorder.clone());
+    let board = cfg.fabric.build(cfg.faults, cfg.recorder.clone());
     let mut runner = Runner::over(board);
 
     let ts_id = PartyId::new("ts");
@@ -209,7 +156,7 @@ pub fn run_round_sources(
         }
         runner.add(sk.clone(), Box::new(node));
     }
-    for (i, (dc, source)) in dc_names.iter().zip(dc_sources).enumerate() {
+    for (i, (dc, stream)) in dc_names.iter().zip(dc_streams).enumerate() {
         let noise_scale = match cfg.noise {
             NoiseAllocation::Equal => 1.0 / (num_dcs as f64).sqrt(),
             NoiseAllocation::FirstDcOnly => {
@@ -222,10 +169,10 @@ pub fn run_round_sources(
             NoiseAllocation::None => 0.0,
         };
         let schema = crate::counter::Schema::new(cfg.counters.clone(), cfg.mapper.clone());
-        let mut node = DcNode::with_source(
+        let mut node = DcNode::new(
             ts_id.clone(),
             schema,
-            source,
+            stream,
             noise_scale,
             cfg.seed ^ (0xDC00 + i as u64),
         );
@@ -292,25 +239,18 @@ mod tests {
         }
     }
 
-    fn generators(counts: &[u64]) -> Vec<EventGenerator> {
+    fn streams(counts: &[u64]) -> Vec<EventStream> {
         counts
             .iter()
-            .map(|&n| {
-                let g: EventGenerator = Box::new(move |sink| {
-                    for i in 0..n {
-                        sink(conn_event(i as u32));
-                    }
-                });
-                g
-            })
+            .map(|&n| EventStream::from_events((0..n).map(|i| conn_event(i as u32)).collect(), 1))
             .collect()
     }
 
     #[test]
     fn noiseless_round_is_exact() {
-        let result = run_round(
+        let result = run_round_streams(
             counting_config(NoiseAllocation::None, 100.0, false),
-            generators(&[100, 200, 300]),
+            streams(&[100, 200, 300]),
         )
         .unwrap();
         assert_eq!(result.total("connections"), 600);
@@ -318,9 +258,9 @@ mod tests {
 
     #[test]
     fn noisy_round_is_close_and_noisy() {
-        let result = run_round(
+        let result = run_round_streams(
             counting_config(NoiseAllocation::Equal, 50.0, false),
-            generators(&[10_000, 20_000]),
+            streams(&[10_000, 20_000]),
         )
         .unwrap();
         let total = result.total("connections");
@@ -335,9 +275,9 @@ mod tests {
 
     #[test]
     fn threaded_matches_protocol() {
-        let result = run_round(
+        let result = run_round_streams(
             counting_config(NoiseAllocation::None, 1.0, true),
-            generators(&[5, 7, 11, 13]),
+            streams(&[5, 7, 11, 13]),
         )
         .unwrap();
         assert_eq!(result.total("connections"), 36);
@@ -345,9 +285,9 @@ mod tests {
 
     #[test]
     fn first_dc_only_noise() {
-        let result = run_round(
+        let result = run_round_streams(
             counting_config(NoiseAllocation::FirstDcOnly, 25.0, false),
-            generators(&[1000, 1000]),
+            streams(&[1000, 1000]),
         )
         .unwrap();
         let total = result.total("connections");
@@ -375,16 +315,17 @@ mod tests {
             adversary: Attack::None,
             recorder: pm_obs::Recorder::new(),
         };
-        let gens: Vec<EventGenerator> = vec![Box::new(|sink| {
-            sink(conn_event(1));
-            sink(TorEvent::EntryBytes {
+        let events = vec![
+            conn_event(1),
+            TorEvent::EntryBytes {
                 relay: RelayId(0),
                 client_ip: IpAddr(1),
                 bytes: 4096,
-            });
-            sink(conn_event(2));
-        })];
-        let result = run_round(cfg, gens).unwrap();
+            },
+            conn_event(2),
+        ];
+        let streams = vec![EventStream::from_events(events, 1)];
+        let result = run_round_streams(cfg, streams).unwrap();
         assert_eq!(result.total("connections"), 2);
         assert_eq!(result.total("bytes"), 4096);
     }
@@ -397,7 +338,7 @@ mod tests {
         for seed in 0..60u64 {
             let mut cfg = counting_config(NoiseAllocation::Equal, 40.0, false);
             cfg.seed = seed;
-            let r = run_round(cfg, generators(&[500, 500, 500])).unwrap();
+            let r = run_round_streams(cfg, streams(&[500, 500, 500])).unwrap();
             totals.push(r.total("connections") as f64 - 1500.0);
         }
         let var: f64 = totals.iter().map(|x| x * x).sum::<f64>() / totals.len() as f64;

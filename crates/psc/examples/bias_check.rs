@@ -1,9 +1,10 @@
 //! Empirical bias check: run many noisy PSC rounds and compare the
 //! denoised estimates against the true unique count.
 use psc::items;
-use psc::round::{run_psc_round, PscConfig};
+use psc::round::{run_psc_round_streams, PscConfig};
 use torsim::events::TorEvent;
 use torsim::ids::{IpAddr, RelayId};
+use torsim::stream::EventStream;
 
 fn main() {
     let truth = 400u32;
@@ -20,18 +21,14 @@ fn main() {
             faults: Default::default(),
             ..Default::default()
         };
-        let gens = vec![{
-            let g: psc::dc::EventGenerator = Box::new(move |sink| {
-                for i in 0..truth {
-                    sink(TorEvent::EntryConnection {
-                        relay: RelayId(0),
-                        client_ip: IpAddr(i),
-                    });
-                }
-            });
-            g
-        }];
-        let r = run_psc_round(cfg, items::unique_client_ips(), gens).unwrap();
+        let events = (0..truth)
+            .map(|i| TorEvent::EntryConnection {
+                relay: RelayId(0),
+                client_ip: IpAddr(i),
+            })
+            .collect();
+        let streams = vec![EventStream::from_events(events, 1)];
+        let r = run_psc_round_streams(cfg, items::unique_client_ips(), streams).unwrap();
         let est = r.estimate(0.95);
         errs.push(est.value - truth as f64);
         if est.ci.contains(truth as f64) {

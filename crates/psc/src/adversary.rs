@@ -96,23 +96,23 @@ impl Attack {
 mod tests {
     use super::*;
     use crate::items;
-    use crate::round::{run_psc_round, PscConfig};
+    use crate::round::{run_psc_round_streams, PscConfig};
     use torsim::events::TorEvent;
     use torsim::ids::{IpAddr, RelayId};
+    use torsim::stream::EventStream;
 
-    fn generators(ip_sets: Vec<Vec<u32>>) -> Vec<crate::dc::EventGenerator> {
+    fn streams(ip_sets: Vec<Vec<u32>>) -> Vec<EventStream> {
         ip_sets
             .into_iter()
             .map(|ips| {
-                let g: crate::dc::EventGenerator = Box::new(move |sink| {
-                    for ip in ips {
-                        sink(TorEvent::EntryConnection {
-                            relay: RelayId(0),
-                            client_ip: IpAddr(ip),
-                        });
-                    }
-                });
-                g
+                let events = ips
+                    .into_iter()
+                    .map(|ip| TorEvent::EntryConnection {
+                        relay: RelayId(0),
+                        client_ip: IpAddr(ip),
+                    })
+                    .collect();
+                EventStream::from_events(events, 1)
             })
             .collect()
     }
@@ -130,10 +130,10 @@ mod tests {
 
     #[test]
     fn malformed_table_detected_by_ts() {
-        let err = run_psc_round(
+        let err = run_psc_round_streams(
             cfg(Attack::MalformedTable { dc: 0 }),
             items::unique_client_ips(),
-            generators(vec![vec![1, 2], vec![3]]),
+            streams(vec![vec![1, 2], vec![3]]),
         )
         .unwrap_err();
         assert_eq!(err.detected_by().map(|p| p.as_str()), Some("psc-ts"));
@@ -143,13 +143,13 @@ mod tests {
     #[test]
     fn skewed_shares_inflate_the_count_deterministically() {
         let run = |attack| {
-            run_psc_round(
+            run_psc_round_streams(
                 PscConfig {
                     noise_flips_per_cp: 0,
                     ..cfg(attack)
                 },
                 items::unique_client_ips(),
-                generators(vec![vec![1, 2], vec![3]]),
+                streams(vec![vec![1, 2], vec![3]]),
             )
             .unwrap()
             .raw
@@ -174,13 +174,13 @@ mod tests {
 
     #[test]
     fn cp_death_is_caught_by_the_deadlock_detector() {
-        let err = run_psc_round(
+        let err = run_psc_round_streams(
             cfg(Attack::CpDeath {
                 cp: 1,
                 after_messages: 1,
             }),
             items::unique_client_ips(),
-            generators(vec![vec![1]]),
+            streams(vec![vec![1]]),
         )
         .unwrap_err();
         assert!(err.detected_by().is_none(), "runner-level: {err}");
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn invalid_proof_fails_verification() {
-        let err = run_psc_round(
+        let err = run_psc_round_streams(
             PscConfig {
                 verify: true,
                 table_size: 16,
@@ -198,7 +198,7 @@ mod tests {
                 ..cfg(Attack::InvalidProof { cp: 0 })
             },
             items::unique_client_ips(),
-            generators(vec![vec![1, 2]]),
+            streams(vec![vec![1, 2]]),
         )
         .unwrap_err();
         assert_eq!(err.detected_by().map(|p| p.as_str()), Some("psc-ts"));
@@ -207,10 +207,10 @@ mod tests {
 
     #[test]
     fn noise_exhaustion_fails_the_mixing_hop() {
-        let err = run_psc_round(
+        let err = run_psc_round_streams(
             cfg(Attack::NoiseExhaustion { cp: 1, budget: 3 }),
             items::unique_client_ips(),
-            generators(vec![vec![1]]),
+            streams(vec![vec![1]]),
         )
         .unwrap_err();
         assert_eq!(err.detected_by().map(|p| p.as_str()), Some("psc-cp-1"));
@@ -219,10 +219,10 @@ mod tests {
 
     #[test]
     fn out_of_range_attack_index_is_inert() {
-        let result = run_psc_round(
+        let result = run_psc_round_streams(
             cfg(Attack::MalformedTable { dc: 9 }),
             items::unique_client_ips(),
-            generators(vec![vec![1, 2], vec![3]]),
+            streams(vec![vec![1, 2], vec![3]]),
         )
         .unwrap();
         assert!(result.raw.marked >= 3);

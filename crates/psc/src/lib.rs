@@ -75,13 +75,13 @@ pub mod table;
 pub mod ts;
 
 pub use cp::MixStrategy;
-pub use round::{run_psc_round, run_psc_round_days, run_psc_round_streams, PscConfig, PscResult};
+pub use round::{run_psc_round_streams, PscConfig, PscResult};
 pub use table::ObliviousTable;
 
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::cp::MixStrategy;
     pub use crate::items::{self, ItemExtractor};
-    pub use crate::round::{run_psc_round, PscConfig, PscResult};
+    pub use crate::round::{run_psc_round_streams, PscConfig, PscResult};
     pub use crate::table::ObliviousTable;
 }

@@ -2,7 +2,7 @@
 
 use crate::adversary::Attack;
 use crate::cp::{CpNode, MixStrategy};
-use crate::dc::{EventGenerator, PscDcNode, PscSource};
+use crate::dc::PscDcNode;
 use crate::items::ItemExtractor;
 use crate::ts::{PscResultSlot, PscTsNode, RawCount};
 use parking_lot::Mutex;
@@ -11,6 +11,7 @@ use pm_net::transport::{FabricChoice, FaultConfig, PartyId};
 use pm_stats::ci::Estimate;
 use pm_stats::psc_ci::psc_confidence_interval;
 use std::sync::Arc;
+use torsim::stream::EventStream;
 
 /// PSC round configuration.
 #[derive(Clone, Debug)]
@@ -95,87 +96,22 @@ impl PscResult {
     }
 }
 
-/// Runs a full PSC round: one DC per generator, counting distinct items
-/// under `extractor`.
-pub fn run_psc_round(
-    cfg: PscConfig,
-    extractor: ItemExtractor,
-    dc_generators: Vec<EventGenerator>,
-) -> Result<PscResult, NodeError> {
-    run_psc_round_sources(
-        cfg,
-        extractor,
-        dc_generators
-            .into_iter()
-            .map(PscSource::Generator)
-            .collect(),
-    )
-}
-
-/// Runs a full PSC round with sharded streaming ingestion: one DC per
-/// stream, accumulating shard-parallel and marking once at merge (see
-/// [`crate::shard`]).
+/// Runs a full PSC round counting distinct items under `extractor`:
+/// one DC per stream, each accumulating its shards in parallel and
+/// marking once at merge (see [`crate::shard`]). A multi-day
+/// collection window is one DC stream chained day by day
+/// ([`torsim::stream::EventStream::chain`]), so a stable item marks its
+/// cells once however many days re-observe it.
 pub fn run_psc_round_streams(
     cfg: PscConfig,
     extractor: ItemExtractor,
-    dc_streams: Vec<torsim::stream::EventStream>,
+    dc_streams: Vec<EventStream>,
 ) -> Result<PscResult, NodeError> {
-    run_psc_round_sources(
-        cfg,
-        extractor,
-        dc_streams.into_iter().map(PscSource::Stream).collect(),
-    )
-}
-
-/// Runs one PSC round over a multi-day collection window (the paper's
-/// 96-hour client-IP round; `pm-study`'s campaign rounds, including
-/// the exit-domain and onion-service windows whose day streams sample
-/// a different drifted mix and consensus fraction per day): `days[d]`
-/// holds day `d`'s per-DC streams, and each DC's streams are chained
-/// shard-wise in calendar order, so the round counts distinct items
-/// over the whole window — a stable item (the client core, a popular
-/// domain, a long-lived onion address) marks its cells once however
-/// many days re-observe it. Every day must supply the same number of
-/// DCs, and a DC's streams the same shard count.
-pub fn run_psc_round_days(
-    cfg: PscConfig,
-    extractor: ItemExtractor,
-    days: Vec<Vec<torsim::stream::EventStream>>,
-) -> Result<PscResult, NodeError> {
-    assert!(!days.is_empty(), "need at least one day");
-    let num_dcs = days[0].len();
-    assert!(
-        days.iter().all(|d| d.len() == num_dcs),
-        "every day must supply the same DCs"
-    );
-    let mut per_dc: Vec<Vec<torsim::stream::EventStream>> =
-        (0..num_dcs).map(|_| Vec::new()).collect();
-    for day in days {
-        for (i, stream) in day.into_iter().enumerate() {
-            per_dc[i].push(stream);
-        }
-    }
-    run_psc_round_streams(
-        cfg,
-        extractor,
-        per_dc
-            .into_iter()
-            .map(torsim::stream::EventStream::chain)
-            .collect(),
-    )
-}
-
-/// Runs a full PSC round over arbitrary DC sources.
-pub fn run_psc_round_sources(
-    cfg: PscConfig,
-    extractor: ItemExtractor,
-    dc_sources: Vec<PscSource>,
-) -> Result<PscResult, NodeError> {
-    assert!(!dc_sources.is_empty(), "need at least one DC");
+    assert!(!dc_streams.is_empty(), "need at least one DC");
     assert!(cfg.num_cps >= 1, "need at least one CP");
     cfg.recorder.incr("psc.rounds");
     let mut round_span = cfg.recorder.span("round.psc", "round");
-    round_span.note("dcs", dc_sources.len());
+    round_span.note("dcs", dc_streams.len());
     round_span.note("cps", cfg.num_cps);
     if cfg.fabric.is_wire() && cfg.adversary.is_active() {
         return Err(NodeError::Protocol(
@@ -184,11 +120,11 @@ pub fn run_psc_round_sources(
                 .into(),
         ));
     }
-    let board = cfg.fabric.build_obs(cfg.faults, cfg.recorder.clone());
+    let board = cfg.fabric.build(cfg.faults, cfg.recorder.clone());
     let mut runner = Runner::over(board);
 
     let ts_id = PartyId::new("psc-ts");
-    let dc_names: Vec<PartyId> = (0..dc_sources.len())
+    let dc_names: Vec<PartyId> = (0..dc_streams.len())
         .map(|i| PartyId::new(format!("psc-dc-{i}")))
         .collect();
     let cp_names: Vec<PartyId> = (0..cfg.num_cps)
@@ -230,11 +166,11 @@ pub fn run_psc_round_sources(
         }
         runner.add(cp.clone(), Box::new(node));
     }
-    for (i, (dc, source)) in dc_names.iter().zip(dc_sources).enumerate() {
-        let mut node = PscDcNode::with_source(
+    for (i, (dc, stream)) in dc_names.iter().zip(dc_streams).enumerate() {
+        let mut node = PscDcNode::new(
             ts_id.clone(),
             extractor.clone(),
-            source,
+            stream,
             cfg.seed ^ (0xDC_0000 + i as u64),
         );
         match cfg.adversary {
@@ -275,17 +211,10 @@ mod tests {
         }
     }
 
-    fn generators(ip_sets: Vec<Vec<u32>>) -> Vec<EventGenerator> {
+    fn streams(ip_sets: Vec<Vec<u32>>) -> Vec<EventStream> {
         ip_sets
             .into_iter()
-            .map(|ips| {
-                let g: EventGenerator = Box::new(move |sink| {
-                    for ip in ips {
-                        sink(conn(ip));
-                    }
-                });
-                g
-            })
+            .map(|ips| EventStream::from_events(ips.into_iter().map(conn).collect(), 1))
             .collect()
     }
 
@@ -302,10 +231,10 @@ mod tests {
             ..Default::default()
         };
         // DCs observe overlapping sets; the union has 5 distinct IPs.
-        let result = run_psc_round(
+        let result = run_psc_round_streams(
             cfg,
             items::unique_client_ips(),
-            generators(vec![vec![1, 2, 3], vec![3, 4], vec![4, 5, 1]]),
+            streams(vec![vec![1, 2, 3], vec![3, 4], vec![4, 5, 1]]),
         )
         .unwrap();
         assert_eq!(result.raw.marked, 5);
@@ -326,10 +255,10 @@ mod tests {
             faults: FaultConfig::none(),
             ..Default::default()
         };
-        let result = run_psc_round(
+        let result = run_psc_round_streams(
             cfg,
             items::unique_client_ips(),
-            generators(vec![vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]]),
+            streams(vec![vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]]),
         )
         .unwrap();
         assert_eq!(result.raw.noise_total, 200);
@@ -354,16 +283,16 @@ mod tests {
             faults: FaultConfig::none(),
             ..Default::default()
         };
-        let a = run_psc_round(
+        let a = run_psc_round_streams(
             mk(false),
             items::unique_client_ips(),
-            generators(vec![vec![1, 2, 3], vec![4]]),
+            streams(vec![vec![1, 2, 3], vec![4]]),
         )
         .unwrap();
-        let b = run_psc_round(
+        let b = run_psc_round_streams(
             mk(true),
             items::unique_client_ips(),
-            generators(vec![vec![1, 2, 3], vec![4]]),
+            streams(vec![vec![1, 2, 3], vec![4]]),
         )
         .unwrap();
         assert_eq!(a.raw.marked, 4);
@@ -382,10 +311,10 @@ mod tests {
             faults: FaultConfig::none(),
             ..Default::default()
         };
-        let result = run_psc_round(
+        let result = run_psc_round_streams(
             cfg,
             items::unique_client_ips(),
-            generators(vec![vec![1, 2], vec![2, 3], vec![3, 4]]),
+            streams(vec![vec![1, 2], vec![2, 3], vec![3, 4]]),
         )
         .unwrap();
         assert_eq!(result.raw.marked, 4);
@@ -405,7 +334,8 @@ mod tests {
             ..Default::default()
         };
         let ips: Vec<u32> = (0..40).collect();
-        let result = run_psc_round(cfg, items::unique_client_ips(), generators(vec![ips])).unwrap();
+        let result =
+            run_psc_round_streams(cfg, items::unique_client_ips(), streams(vec![ips])).unwrap();
         assert!(result.raw.marked < 40, "collisions must undercount");
         let est = result.estimate(0.95);
         // The exact CI inverts the occupancy distribution; 40 must be
@@ -425,10 +355,10 @@ mod tests {
             faults: FaultConfig::none(),
             ..Default::default()
         };
-        let result = run_psc_round(
+        let result = run_psc_round_streams(
             cfg,
             items::unique_client_ips(),
-            generators(vec![vec![7; 100], vec![7; 100]]),
+            streams(vec![vec![7; 100], vec![7; 100]]),
         )
         .unwrap();
         assert_eq!(result.raw.marked, 1);

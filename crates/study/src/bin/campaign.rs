@@ -14,7 +14,9 @@
 //! (`--days 17` runs the full calendar). `--list` prints the
 //! validated calendar without running it; `--json PATH` writes the
 //! machine-readable document (the `experiments` binary's schema plus
-//! an `anomalies` array) alongside whatever goes to stdout.
+//! an `anomalies` array) alongside whatever goes to stdout. A usage
+//! error (an unknown flag, or a missing, unparsable or out-of-range
+//! value such as `--days 0`) prints one line naming it and exits 2.
 //!
 //! `--attack NAME` injects one adversarial scenario into every round
 //! (`byzantine-shares`, `skewed-shares`, `keeper-death`,
@@ -37,6 +39,8 @@
 use pm_net::FabricChoice;
 use pm_obs::{Event, Recorder, Sink, Verbosity};
 use pm_study::{Campaign, CampaignAttack, CampaignConfig};
+use torstudy::cli::{usage_error, Args};
+use torstudy::Deployment;
 
 fn main() {
     let mut days = 7u64;
@@ -52,70 +56,43 @@ fn main() {
     let mut verbosity = Verbosity::Normal;
     let mut list = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--days" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                days = args[i].parse().expect("--days takes an integer ≥ 1");
-            }
+    let mut args = Args::from_env();
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
+            "--days" => days = args.parsed("--days", "an integer ≥ 1", |d| *d >= 1),
             "--scale" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                scale = args[i].parse().expect("--scale takes a float in (0, 1]");
+                scale = args.parsed("--scale", "a float in (0, 1]", |s| {
+                    Deployment::valid_scale(*s)
+                })
             }
-            "--seed" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--shards" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                shards = args[i].parse().expect("--shards takes an integer");
-            }
-            "--workers" => {
-                i += 1;
-                // lint:allow(panic) CLI usage error: an immediate loud exit is the interface
-                workers = args[i].parse().expect("--workers takes an integer");
-            }
+            "--seed" => seed = args.parsed("--seed", "an integer ≥ 0", |_| true),
+            "--shards" => shards = args.parsed("--shards", "an integer ≥ 0", |_| true),
+            "--workers" => workers = args.parsed("--workers", "an integer ≥ 0", |_| true),
             "--fabric" => {
-                i += 1;
-                fabric = FabricChoice::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown fabric '{}'; known: per-link, single-lock, \
-                         wire[:latency_ms[,bw_kbps]]",
-                        args[i]
-                    );
-                    std::process::exit(2);
+                let name = args.value("--fabric");
+                fabric = FabricChoice::parse(&name).unwrap_or_else(|| {
+                    usage_error(format!(
+                        "unknown fabric '{name}'; known: per-link, single-lock, \
+                         wire[:latency_ms[,bw_kbps]]"
+                    ))
                 });
             }
             "--attack" => {
-                i += 1;
-                attack = CampaignAttack::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown attack '{}'; known: none, {}",
-                        args[i],
+                let name = args.value("--attack");
+                attack = CampaignAttack::parse(&name).unwrap_or_else(|| {
+                    usage_error(format!(
+                        "unknown attack '{name}'; known: none, {}",
                         CampaignAttack::ALL
                             .iter()
                             .map(|a| a.name())
                             .collect::<Vec<_>>()
                             .join(", ")
-                    );
-                    std::process::exit(2);
+                    ))
                 });
             }
             "--csv" => csv = true,
-            "--json" => {
-                i += 1;
-                json = Some(args[i].clone());
-            }
-            "--trace" => {
-                i += 1;
-                trace = Some(args[i].clone());
-            }
+            "--json" => json = Some(args.value("--json")),
+            "--trace" => trace = Some(args.value("--trace")),
             "-q" | "--quiet" => verbosity = Verbosity::Quiet,
             "-v" | "--verbose" => verbosity = Verbosity::Verbose,
             "--list" => list = true,
@@ -128,12 +105,8 @@ fn main() {
                 );
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown argument: {other}")),
         }
-        i += 1;
     }
 
     let sink = Sink::new(verbosity);
@@ -187,15 +160,17 @@ fn main() {
         print!("{}", report.render_text());
     }
     if let Some(path) = json {
-        // lint:allow(panic) CLI export failure: an immediate loud exit is the interface
-        std::fs::write(&path, report.render_json()).expect("write --json output");
+        if let Err(err) = std::fs::write(&path, report.render_json()) {
+            eprintln!("cannot write --json output {path}: {err}");
+            std::process::exit(1);
+        }
         sink.emit(&Event::new("campaign.wrote", format!("wrote {path}")).field("path", &path));
     }
     if let Some(path) = trace {
-        recorder
-            .write_trace(std::path::Path::new(&path))
-            // lint:allow(panic) CLI export failure: an immediate loud exit is the interface
-            .expect("write --trace output");
+        if let Err(err) = recorder.write_trace(std::path::Path::new(&path)) {
+            eprintln!("cannot write --trace output {path}: {err}");
+            std::process::exit(1);
+        }
         sink.emit(
             &Event::new("campaign.trace", format!("wrote trace {path}")).field("path", &path),
         );

@@ -1025,7 +1025,7 @@ impl<T: Ord + Clone, C: Tally + Clone> RoundPlan<T, C> {
                 });
                 union = union.merge(truth.clone());
                 truths.push(truth);
-                psc_days.push(vec![stream]);
+                psc_days.push(stream);
             }
             if !obs.privcount.is_empty() {
                 pc_days.push(obs.privcount);
@@ -1045,7 +1045,11 @@ impl<T: Ord + Clone, C: Tally + Clone> RoundPlan<T, C> {
             if let (Some(p), Some(expected)) = (&self.psc, expected) {
                 let mut cfg = psc_round(&dep, expected, p.sensitivity, &spec.id);
                 c.apply_psc_attack(&mut cfg);
-                let result = psc::run_psc_round_days(cfg, (p.items)(&dep), psc_days)?;
+                // Every day supplies the one PSC DC's stream; chained in
+                // calendar order, the window counts distinct items once
+                // however many days re-observe them.
+                let streams = vec![EventStream::chain(psc_days)];
+                let result = psc::run_psc_round_streams(cfg, (p.items)(&dep), streams)?;
                 psc_est = Some(result.estimate(0.95));
             }
             // Each day's PrivCount count, network-wide.
@@ -1059,12 +1063,19 @@ impl<T: Ord + Clone, C: Tally + Clone> RoundPlan<T, C> {
                     c.apply_privcount_attack(&mut cfg);
                     cfg
                 };
-                let results = privcount::run_round_days(cfg, pc_days)?;
-                pc_estimates = results
-                    .iter()
-                    .zip(&fractions)
-                    .map(|(result, f)| dep.to_network(result.estimate(p.counter), *f))
-                    .collect();
+                for (d, (streams, f)) in pc_days.into_iter().zip(&fractions).enumerate() {
+                    // Day `d`'s seed is a pure function of the round
+                    // config, so its noise cannot depend on which days
+                    // ran before or alongside it. The label is
+                    // namespaced so it never aliases the deployment's
+                    // own `"day{d}"` seed stream.
+                    let day_cfg = privcount::RoundConfig {
+                        seed: derive_seed(cfg.seed, &format!("privcount/day{d}")),
+                        ..cfg.clone()
+                    };
+                    let result = privcount::run_round_streams(day_cfg, streams)?;
+                    pc_estimates.push(dep.to_network(result.estimate(p.counter), *f));
+                }
             }
             Ok((psc_est, pc_estimates))
         })();

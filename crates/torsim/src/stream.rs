@@ -146,9 +146,9 @@ impl EventStream {
     }
 
     /// Decomposes the stream into its shard generators, e.g. to hand
-    /// each shard to its own Data Collector (the generator types are
-    /// identical). The multiset union of the shards' output is the
-    /// stream's output.
+    /// each shard to its own Data Collector as a one-shard stream
+    /// (`EventStream::from_shards(vec![shard])`). The multiset union of
+    /// the shards' output is the stream's output.
     pub fn into_shards(self) -> Vec<ShardFn> {
         self.shards
     }
@@ -158,15 +158,6 @@ impl EventStream {
         for shard in self.shards {
             shard(&mut sink);
         }
-    }
-
-    /// Degrades the stream to a single sequential generator closure.
-    pub fn into_generator(self) -> ShardFn {
-        Box::new(move |sink| {
-            for shard in self.shards {
-                shard(sink);
-            }
-        })
     }
 
     /// Folds every shard into its own accumulator — one OS thread per

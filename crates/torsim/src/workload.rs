@@ -3,15 +3,16 @@
 //! Each truth struct is the *configured reality* of the simulated Tor
 //! network. The measurement pipeline never reads these directly — it
 //! only sees events — so experiments can verify that the estimators
-//! recover the configured truth, and EXPERIMENTS.md can compare
-//! measured vs truth vs paper.
+//! recover the configured truth, and each report sets the measured
+//! value beside its truth and paper columns.
 //!
 //! Calibration notes: the paper's Figure 2 rank-set measurement and the
 //! sibling measurement were taken on different days and are not exactly
 //! mutually consistent (e.g. rank set (0,10] totals 8.4% while
 //! www.amazon.com alone measured 8.6% the next day). Our single
-//! generative model compromises within the paper's day-to-day spread;
-//! EXPERIMENTS.md records the per-figure deltas.
+//! generative model compromises within the paper's day-to-day spread
+//! (DESIGN.md §4); the reports' truth and paper columns show the
+//! per-figure deltas.
 
 use crate::ids::{CountryCode, DomainId};
 use crate::sites::{Family, SiteList};

@@ -15,10 +15,11 @@
 
 use pm_net::transport::FaultConfig;
 use privcount::counter::CounterSpec;
-use privcount::round::{run_round, NoiseAllocation, RoundConfig};
+use privcount::round::{run_round_streams, NoiseAllocation, RoundConfig};
 use std::sync::Arc;
 use torsim::events::TorEvent;
 use torsim::ids::{IpAddr, RelayId};
+use torsim::stream::EventStream;
 
 fn run_with(faults: FaultConfig) -> Result<i64, String> {
     let cfg = RoundConfig {
@@ -37,20 +38,18 @@ fn run_with(faults: FaultConfig) -> Result<i64, String> {
         adversary: Default::default(),
         recorder: Default::default(),
     };
-    let generators = (0..3)
+    let streams = (0..3)
         .map(|dc| {
-            let g: privcount::dc::EventGenerator = Box::new(move |sink| {
-                for i in 0..100u32 {
-                    sink(TorEvent::EntryConnection {
-                        relay: RelayId(dc),
-                        client_ip: IpAddr(i),
-                    });
-                }
-            });
-            g
+            let events = (0..100u32)
+                .map(|i| TorEvent::EntryConnection {
+                    relay: RelayId(dc),
+                    client_ip: IpAddr(i),
+                })
+                .collect();
+            EventStream::from_events(events, 1)
         })
         .collect();
-    run_round(cfg, generators)
+    run_round_streams(cfg, streams)
         .map(|r| r.total("connections"))
         .map_err(|e| e.to_string())
 }

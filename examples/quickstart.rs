@@ -12,15 +12,16 @@
 //! totals, PSC a binomially-noised distinct count.
 
 use privcount::counter::CounterSpec;
-use privcount::round::{run_round, NoiseAllocation, RoundConfig};
+use privcount::round::{run_round_streams, NoiseAllocation, RoundConfig};
 use psc::items;
-use psc::round::{run_psc_round, PscConfig};
+use psc::round::{run_psc_round_streams, PscConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use torsim::events::TorEvent;
 use torsim::geo::GeoDb;
 use torsim::ids::RelayId;
+use torsim::stream::EventStream;
 
 fn main() {
     // --- a synthetic day of entry traffic -----------------------------
@@ -71,19 +72,11 @@ fn main() {
         adversary: Default::default(),
         recorder: Default::default(),
     };
-    let generators = relay_events
-        .clone()
-        .into_iter()
-        .map(|evs| {
-            let g: privcount::dc::EventGenerator = Box::new(move |sink| {
-                for ev in evs {
-                    sink(ev);
-                }
-            });
-            g
-        })
+    let streams = relay_events
+        .iter()
+        .map(|evs| EventStream::from_events(evs.clone(), 1))
         .collect();
-    let result = run_round(cfg, generators).expect("privcount round");
+    let result = run_round_streams(cfg, streams).expect("privcount round");
     let est = result.estimate("connections");
     println!("PrivCount: connections = {est}");
     println!("           ground truth = {truth_connections} (σ = {sigma:.1})");
@@ -100,18 +93,12 @@ fn main() {
         faults: Default::default(),
         ..Default::default()
     };
-    let generators = relay_events
+    let streams = relay_events
         .into_iter()
-        .map(|evs| {
-            let g: psc::dc::EventGenerator = Box::new(move |sink| {
-                for ev in evs {
-                    sink(ev);
-                }
-            });
-            g
-        })
+        .map(|evs| EventStream::from_events(evs, 1))
         .collect();
-    let result = run_psc_round(cfg, items::unique_client_ips(), generators).expect("psc round");
+    let result =
+        run_psc_round_streams(cfg, items::unique_client_ips(), streams).expect("psc round");
     let est = result.estimate(0.95);
     println!(
         "PSC:       unique IPs = {est} (raw marked cells: {}, noise flips: {})",

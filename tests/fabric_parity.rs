@@ -11,21 +11,22 @@
 use pm_net::{FabricChoice, WireShape};
 use psc::cp::MixStrategy;
 use psc::items;
-use psc::round::{run_psc_round, PscConfig};
+use psc::round::{run_psc_round_streams, PscConfig};
+use torsim::events::TorEvent;
+use torsim::ids::{IpAddr, RelayId};
+use torsim::stream::EventStream;
 
-fn ip_generators(sets: &[&[u32]]) -> Vec<psc::dc::EventGenerator> {
+fn ip_streams(sets: &[&[u32]]) -> Vec<EventStream> {
     sets.iter()
         .map(|ips| {
-            let ips: Vec<u32> = ips.to_vec();
-            let g: psc::dc::EventGenerator = Box::new(move |sink| {
-                for ip in ips {
-                    sink(torsim::events::TorEvent::EntryConnection {
-                        relay: torsim::ids::RelayId(0),
-                        client_ip: torsim::ids::IpAddr(ip),
-                    });
-                }
-            });
-            g
+            let events = ips
+                .iter()
+                .map(|&ip| TorEvent::EntryConnection {
+                    relay: RelayId(0),
+                    client_ip: IpAddr(ip),
+                })
+                .collect();
+            EventStream::from_events(events, 1)
         })
         .collect()
 }
@@ -44,10 +45,10 @@ fn net_metrics(fabric: FabricChoice) -> Vec<(String, u64)> {
         recorder: recorder.clone(),
         ..Default::default()
     };
-    run_psc_round(
+    run_psc_round_streams(
         cfg,
         items::unique_client_ips(),
-        ip_generators(&[&[21, 22, 23], &[23, 24]]),
+        ip_streams(&[&[21, 22, 23], &[23, 24]]),
     )
     .expect("round");
     recorder

@@ -8,13 +8,14 @@
 //! never told.
 
 use privcount::counter::CounterSpec;
-use privcount::round::{run_round, NoiseAllocation, RoundConfig};
+use privcount::round::{run_round_streams, NoiseAllocation, RoundConfig};
 use std::sync::Arc;
 use torsim::events::TorEvent;
 use torsim::full::{FullSim, FullSimConfig};
 use torsim::geo::GeoDb;
 use torsim::relay::{Consensus, Position};
 use torsim::sites::{SiteList, SiteListConfig};
+use torsim::stream::EventStream;
 use torsim::workload::DomainMix;
 
 fn setup() -> (Arc<Consensus>, Arc<SiteList>, Arc<GeoDb>) {
@@ -39,9 +40,9 @@ fn inference_recovers_ground_truth_from_full_simulation() {
         ..Default::default()
     };
     let sim = FullSim::new(Arc::clone(&consensus), sites, geo, cfg);
-    // Four native shards, each handed to its own DC: the generator
-    // types are identical, so full-mode generation feeds the DCs
-    // without ever materializing the event list.
+    // Four native shards, each handed to its own DC as a one-shard
+    // stream, so full-mode generation feeds the DCs without ever
+    // materializing the event list.
     let (stream, truth) = sim.stream_day(&DomainMix::paper_default(), 4);
     let round = RoundConfig {
         counters: vec![
@@ -64,8 +65,12 @@ fn inference_recovers_ground_truth_from_full_simulation() {
         adversary: Default::default(),
         recorder: Default::default(),
     };
-    let generators: Vec<privcount::dc::EventGenerator> = stream.into_shards();
-    let result = run_round(round, generators).expect("round");
+    let dc_streams = stream
+        .into_shards()
+        .into_iter()
+        .map(|shard| EventStream::from_shards(vec![shard]))
+        .collect();
+    let result = run_round_streams(round, dc_streams).expect("round");
 
     // Infer network-wide totals by dividing by the instrumented weight
     // fractions — the measurement never saw `truth`.
@@ -125,15 +130,8 @@ fn noise_floor_hides_small_counts() {
         adversary: Default::default(),
         recorder: Default::default(),
     };
-    let generators = vec![{
-        let g: privcount::dc::EventGenerator = Box::new(move |sink| {
-            for ev in events {
-                sink(ev);
-            }
-        });
-        g
-    }];
-    let result = run_round(round, generators).expect("round");
+    let result =
+        run_round_streams(round, vec![EventStream::from_events(events, 1)]).expect("round");
     let est = result.estimate("rare");
     // CI must comfortably include zero.
     assert!(est.ci.contains(0.0), "{est}");
@@ -158,11 +156,8 @@ fn dropped_party_aborts_cleanly() {
         adversary: Default::default(),
         recorder: Default::default(),
     };
-    let generators = vec![{
-        let g: privcount::dc::EventGenerator = Box::new(|_sink| {});
-        g
-    }];
-    let err = run_round(round, generators).expect_err("must fail");
+    let err = run_round_streams(round, vec![EventStream::from_events(Vec::new(), 1)])
+        .expect_err("must fail");
     let msg = err.to_string();
     assert!(
         msg.contains("deadlock") || msg.contains("no result"),

@@ -9,14 +9,16 @@ use pm_net::transport::FaultConfig;
 use pm_net::{FabricChoice, WireShape};
 use psc::cp::MixStrategy;
 use psc::items;
-use psc::round::{run_psc_round, PscConfig};
+use psc::round::{run_psc_round_streams, PscConfig};
 use std::collections::HashSet;
 use std::sync::Arc;
 use torsim::events::TorEvent;
 use torsim::full::{FullSim, FullSimConfig};
 use torsim::geo::GeoDb;
+use torsim::ids::{IpAddr, RelayId};
 use torsim::relay::Consensus;
 use torsim::sites::{SiteList, SiteListConfig};
+use torsim::stream::EventStream;
 use torsim::workload::DomainMix;
 
 fn simulate(clients: u64, seed: u64) -> (Vec<TorEvent>, u64) {
@@ -45,21 +47,14 @@ fn simulate(clients: u64, seed: u64) -> (Vec<TorEvent>, u64) {
     (events, unique.len() as u64)
 }
 
-fn dc_generators(events: Vec<TorEvent>, num_dcs: usize) -> Vec<psc::dc::EventGenerator> {
+fn dc_streams(events: Vec<TorEvent>, num_dcs: usize) -> Vec<EventStream> {
     let mut buckets: Vec<Vec<TorEvent>> = vec![Vec::new(); num_dcs];
     for (i, ev) in events.into_iter().enumerate() {
         buckets[i % num_dcs].push(ev);
     }
     buckets
         .into_iter()
-        .map(|evs| {
-            let g: psc::dc::EventGenerator = Box::new(move |sink| {
-                for ev in evs {
-                    sink(ev);
-                }
-            });
-            g
-        })
+        .map(|evs| EventStream::from_events(evs, 1))
         .collect()
 }
 
@@ -77,8 +72,8 @@ fn psc_counts_unique_ips_from_full_simulation() {
         faults: Default::default(),
         ..Default::default()
     };
-    let result =
-        run_psc_round(cfg, items::unique_client_ips(), dc_generators(events, 4)).expect("round");
+    let result = run_psc_round_streams(cfg, items::unique_client_ips(), dc_streams(events, 4))
+        .expect("round");
     let est = result.estimate(0.95);
     assert!(
         est.ci.contains(truth_unique as f64),
@@ -104,7 +99,7 @@ fn verified_psc_round_over_threads() {
         faults: Default::default(),
         ..Default::default()
     };
-    let result = run_psc_round(cfg, items::unique_client_ips(), dc_generators(events, 2))
+    let result = run_psc_round_streams(cfg, items::unique_client_ips(), dc_streams(events, 2))
         .expect("verified round");
     let est = result.estimate(0.95);
     assert!(
@@ -135,8 +130,8 @@ fn psc_and_privcount_agree_on_volume_vs_uniqueness() {
         faults: Default::default(),
         ..Default::default()
     };
-    let result =
-        run_psc_round(cfg, items::unique_client_ips(), dc_generators(events, 3)).expect("round");
+    let result = run_psc_round_streams(cfg, items::unique_client_ips(), dc_streams(events, 3))
+        .expect("round");
     // Noiseless: marked cells ≤ unique (collisions) and close to it.
     assert!(result.raw.marked <= truth_unique);
     assert!(result.raw.marked as f64 > truth_unique as f64 * 0.95);
@@ -144,21 +139,19 @@ fn psc_and_privcount_agree_on_volume_vs_uniqueness() {
 
 // ----- transcript equality: sequential vs batched-parallel mixing -----
 
-/// Small synthetic generators (cheap enough to run the same round many
+/// Small synthetic streams (cheap enough to run the same round many
 /// times under different execution shapes).
-fn ip_generators(sets: &[&[u32]]) -> Vec<psc::dc::EventGenerator> {
+fn ip_streams(sets: &[&[u32]]) -> Vec<EventStream> {
     sets.iter()
         .map(|ips| {
-            let ips: Vec<u32> = ips.to_vec();
-            let g: psc::dc::EventGenerator = Box::new(move |sink| {
-                for ip in ips {
-                    sink(torsim::events::TorEvent::EntryConnection {
-                        relay: torsim::ids::RelayId(0),
-                        client_ip: torsim::ids::IpAddr(ip),
-                    });
-                }
-            });
-            g
+            let events = ips
+                .iter()
+                .map(|&ip| TorEvent::EntryConnection {
+                    relay: RelayId(0),
+                    client_ip: IpAddr(ip),
+                })
+                .collect();
+            EventStream::from_events(events, 1)
         })
         .collect()
 }
@@ -174,10 +167,10 @@ fn run_with(mix: MixStrategy, verify: bool, threaded: bool) -> psc::ts::RawCount
         mix,
         ..Default::default()
     };
-    run_psc_round(
+    run_psc_round_streams(
         cfg,
         items::unique_client_ips(),
-        ip_generators(&[&[1, 2, 3, 4, 5], &[4, 5, 6, 7], &[8, 9]]),
+        ip_streams(&[&[1, 2, 3, 4, 5], &[4, 5, 6, 7], &[8, 9]]),
     )
     .expect("round")
     .raw
@@ -230,10 +223,10 @@ fn run_faulted(faults: FaultConfig, fabric: FabricChoice) -> Outcome {
         adversary: Default::default(),
         recorder: Default::default(),
     };
-    match run_psc_round(
+    match run_psc_round_streams(
         cfg,
         items::unique_client_ips(),
-        ip_generators(&[&[10, 11, 12], &[12, 13]]),
+        ip_streams(&[&[10, 11, 12], &[12, 13]]),
     ) {
         Ok(result) => Outcome::Published(result.raw.marked),
         Err(_) => Outcome::Aborted,
@@ -323,10 +316,10 @@ fn run_on_fabric(fabric: FabricChoice, recorder: pm_obs::Recorder) -> psc::ts::R
         recorder,
         ..Default::default()
     };
-    run_psc_round(
+    run_psc_round_streams(
         cfg,
         items::unique_client_ips(),
-        ip_generators(&[&[1, 2, 3, 4, 5], &[4, 5, 6, 7], &[8, 9]]),
+        ip_streams(&[&[1, 2, 3, 4, 5], &[4, 5, 6, 7], &[8, 9]]),
     )
     .expect("round")
     .raw
